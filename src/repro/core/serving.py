@@ -23,9 +23,12 @@ Two batch-formation disciplines are supported:
   ``sla_ms`` set, the batch size additionally adapts to SLA pressure
   (see the class docstring).
 
-The executor's batch-latency function is pluggable; by default it
-interpolates between measured batch sizes so one expensive simulation
-sweep serves many load points.  Per-phase latency models (one curve per
+The executor's batch latency is a :class:`~repro.core.curve.LatencyCurve`
+table — by default interpolated between measured batch sizes, so one
+expensive simulation sweep serves many load points.  Plain callables
+``batch -> ms`` are accepted too: each entry point tabulates and
+validates them once, over the batching policy's domain, so the event
+loop only ever indexes tables.  Per-phase latency models (one curve per
 scenario phase, e.g. under popularity drift) are accepted wherever a
 single curve is.
 """
@@ -33,15 +36,13 @@ single curve is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.curve import LatencyCurve, LatencyModel, as_curve
 from repro.telemetry.events import ArrivalBlock, BatchBlock, StreamRun
 from repro.telemetry.sinks import Sink, emit_run
-
-#: A batch-latency curve: batch size -> milliseconds.
-LatencyModel = Callable[[int], float]
 
 _PERCENTILE_FIELDS = {"p50": "p50_ms", "p95": "p95_ms", "p99": "p99_ms"}
 
@@ -258,44 +259,16 @@ class StreamReport(ReportSlaMixin):
 
 def interpolated_latency_model(
     batch_sizes: Sequence[int], latencies_ms: Sequence[float]
-) -> Callable[[int], float]:
-    """Piecewise-linear batch-latency model from measured points."""
-    sizes = np.asarray(batch_sizes, dtype=float)
-    lats = np.asarray(latencies_ms, dtype=float)
-    if len(sizes) != len(lats) or len(sizes) < 1:
-        raise ValueError("need matching, non-empty calibration points")
-    order = np.argsort(sizes)
-    sizes, lats = sizes[order], lats[order]
-
-    def model(batch: int) -> float:
-        return float(np.interp(batch, sizes, lats))
-
-    return model
+) -> LatencyCurve:
+    """Piecewise-linear batch-latency curve from measured points."""
+    return LatencyCurve.from_points(batch_sizes, latencies_ms)
 
 
 # ----------------------------------------------------------------------
 # the event loop
 # ----------------------------------------------------------------------
-def _fits_within(exec_ms: LatencyModel, size: int, budget_ms: float) -> int:
-    """Largest batch in [1, size] with ``exec_ms(batch) <= budget_ms``
-    (0 if none).  Assumes ``exec_ms`` is non-decreasing, true of every
-    calibrated curve."""
-    if exec_ms(size) <= budget_ms:
-        return size
-    if exec_ms(1) > budget_ms:
-        return 0
-    lo, hi = 1, size  # invariant: exec(lo) fits, exec(hi) does not
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if exec_ms(mid) <= budget_ms:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def _adaptive_batch(
-    exec_ms: LatencyModel,
+    curve: LatencyCurve,
     queue_times: np.ndarray,
     start: float,
     max_batch: int,
@@ -323,12 +296,12 @@ def _adaptive_batch(
         size //= 2
     slack_ms = sla_ms - (start - float(queue_times[0])) * 1e3
     for budget in (sla_ms, slack_ms):
-        fit = _fits_within(exec_ms, waiting, budget)
+        fit = curve.fits_within(waiting, budget)
         if fit:
             candidates.add(fit)
     best_size, best_key = waiting, (-1.0, -1.0)
     for size in sorted(candidates):
-        exec_batch_ms = exec_ms(size)
+        exec_batch_ms = float(curve.ms[size])
         cutoff = start + (exec_batch_ms - sla_ms) / 1e3
         hits = size - int(
             np.searchsorted(queue_times[:size], cutoff, side="left")
@@ -345,7 +318,7 @@ def _adaptive_batch(
 def _serve_arrays(
     times: np.ndarray,
     phase_ids: np.ndarray,
-    exec_ms: Sequence[LatencyModel],
+    curves: Sequence[LatencyCurve],
     policy: BatchingPolicy | ContinuousBatching,
 ) -> tuple[list[float], list[float], list[int]]:
     """Serve time-sorted arrivals on one GPU; the shared event loop.
@@ -355,9 +328,10 @@ def _serve_arrays(
     carry (per-query latencies, busy time, utilization) derives from
     these columns via the pure folds below, which is what lets a
     recorded run replay field-identical without re-running this loop.
-    A batch's execution time comes from the latency model of its oldest
+    A batch's execution time comes from the latency curve of its oldest
     query's phase (phases are long relative to batches, so mixed
-    batches are rare and the approximation is second-order).
+    batches are rare and the approximation is second-order); each curve
+    must cover ``1..policy.max_batch``.
     """
     n = len(times)
     batch_starts: list[float] = []
@@ -376,7 +350,7 @@ def _serve_arrays(
             waiting = max(waiting, 1)
             if policy.sla_ms is not None:
                 size = _adaptive_batch(
-                    exec_ms[phase_ids[head]],
+                    curves[phase_ids[head]],
                     times[head:head + waiting], start,
                     policy.max_batch, policy.sla_ms,
                 )
@@ -397,7 +371,7 @@ def _serve_arrays(
             else:
                 size = waiting
                 start = threshold
-        exec_s = exec_ms[phase_ids[head]](size) / 1e3
+        exec_s = float(curves[phase_ids[head]].ms[size]) / 1e3
         gpu_free = start + exec_s
         batch_starts.append(float(start))
         batch_exec.append(exec_s)
@@ -430,22 +404,60 @@ def _resolve_phase_models(
     latency_ms: LatencyModel | Sequence[LatencyModel]
                 | Mapping[str, LatencyModel],
     phases: Sequence[str],
-) -> list[LatencyModel]:
-    """One latency curve per phase, from a single curve, a sequence
-    (indexed like ``phases``), or a mapping by phase name."""
+    max_batch: int,
+    seen: dict | None = None,
+) -> list[LatencyCurve]:
+    """One validated table per phase, covering ``1..max_batch``, from a
+    single curve, a sequence (indexed like ``phases``), or a mapping by
+    phase name; a plain callable is tabulated once however many phases
+    share it (see :func:`repro.core.curve.as_curve` for ``seen``)."""
     if callable(latency_ms):
-        return [latency_ms] * len(phases)
-    if isinstance(latency_ms, Mapping):
+        models = [latency_ms] * len(phases)
+    elif isinstance(latency_ms, Mapping):
         missing = [p for p in phases if p not in latency_ms]
         if missing:
             raise KeyError(f"no latency model for phases {missing}")
-        return [latency_ms[p] for p in phases]
-    models = list(latency_ms)
-    if len(models) != len(phases):
+        models = [latency_ms[p] for p in phases]
+    else:
+        models = list(latency_ms)
+        if len(models) != len(phases):
+            raise ValueError(
+                f"{len(models)} latency models for {len(phases)} phases"
+            )
+    seen = {} if seen is None else seen
+    return [as_curve(m, max_batch, seen) for m in models]
+
+
+def check_arrivals(times: np.ndarray, stream: str) -> None:
+    """Reject arrival times that are not finite and non-decreasing.
+
+    Every event loop assumes time-sorted arrivals; an unsorted or NaN
+    stream would otherwise come back as wrong (even negative or NaN)
+    latencies instead of an error.
+    """
+    bad = np.flatnonzero(~np.isfinite(times))
+    if len(bad):
+        i = int(bad[0])
         raise ValueError(
-            f"{len(models)} latency models for {len(phases)} phases"
+            f"arrival stream {stream!r}: time at index {i} is "
+            f"{float(times[i])!r}, not a finite number of seconds"
         )
-    return models
+    drops = np.flatnonzero(times[1:] < times[:-1])
+    if len(drops):
+        i = int(drops[0]) + 1
+        raise ValueError(
+            f"arrival stream {stream!r} is not sorted: index {i} arrives "
+            f"at {float(times[i])!r} s, before index {i - 1} at "
+            f"{float(times[i - 1])!r} s"
+        )
+
+
+def _default_policy(
+    policy: BatchingPolicy | ContinuousBatching | None,
+    sla_ms: float | None,
+) -> BatchingPolicy | ContinuousBatching:
+    """A stream's batcher: ``policy``, else SLA-adaptive continuous."""
+    return ContinuousBatching(sla_ms=sla_ms) if policy is None else policy
 
 
 def fold_stream_report(run: StreamRun) -> StreamReport:
@@ -531,6 +543,7 @@ def _serve_stream_run(
     scheme_name: str = "scheme",
     phase_hit_rates: Sequence[float] | None = None,
     tenant: str | None = None,
+    seen: dict | None = None,
 ) -> tuple[StreamReport, StreamRun]:
     """Run the event loop and package (report, run record)."""
     if len(stream.times) == 0:
@@ -539,12 +552,14 @@ def _serve_stream_run(
         raise ValueError(
             f"arrival stream {stream.name!r} needs a positive duration_s"
         )
-    if policy is None:
-        policy = ContinuousBatching(sla_ms=sla_ms)
-    models = _resolve_phase_models(latency_ms, stream.phases)
     times = np.asarray(stream.times, dtype=float)
+    check_arrivals(times, stream.name)
+    policy = _default_policy(policy, sla_ms)
+    curves = _resolve_phase_models(
+        latency_ms, stream.phases, policy.max_batch, seen
+    )
     phase_ids = np.asarray(stream.phase_ids)
-    starts, exec_s, sizes = _serve_arrays(times, phase_ids, models, policy)
+    starts, exec_s, sizes = _serve_arrays(times, phase_ids, curves, policy)
     phases = tuple(stream.phases)
     meta = {
         "kind": "stream",
@@ -630,6 +645,7 @@ def _serve_tenant_stream_runs(
         raise KeyError(f"no latency model for tenants {missing}")
     reports: dict[str, StreamReport] = {}
     runs: dict[str, StreamRun] = {}
+    seen: dict = {}
     for name in streams:
         sla = (
             sla_ms.get(name) if isinstance(sla_ms, Mapping) else sla_ms
@@ -646,6 +662,7 @@ def _serve_tenant_stream_runs(
                 phase_hit_rates.get(name) if phase_hit_rates else None
             ),
             tenant=name,
+            seen=seen,
         )
     return reports, runs
 
@@ -685,7 +702,7 @@ def serve_tenant_streams(
 
 
 def simulate_serving(
-    batch_latency_ms: Callable[[int], float],
+    batch_latency_ms: LatencyModel,
     *,
     qps: float,
     duration_s: float = 10.0,
@@ -707,13 +724,14 @@ def simulate_serving(
     if qps <= 0:
         raise ValueError("qps must be positive")
     policy = policy or BatchingPolicy()
+    curve = as_curve(batch_latency_ms, policy.max_batch)
     rng = np.random.default_rng(seed)
     n = max(1, int(qps * duration_s))
     arrivals = np.cumsum(rng.exponential(1.0 / qps, size=n))
 
     phase_ids = np.zeros(n, dtype=np.int64)
     starts, exec_s, sizes = _serve_arrays(
-        arrivals, phase_ids, [batch_latency_ms], policy
+        arrivals, phase_ids, [curve], policy
     )
     run = StreamRun(
         meta={
@@ -739,7 +757,7 @@ def simulate_serving(
 
 
 def max_sustainable_qps(
-    batch_latency_ms: Callable[[int], float],
+    batch_latency_ms: LatencyModel,
     *,
     sla_ms: float,
     percentile: str = "p99",
@@ -750,6 +768,8 @@ def max_sustainable_qps(
     seed: int = 0,
 ) -> tuple[float, list[ServingReport]]:
     """Largest grid point whose tail latency meets the SLA."""
+    policy = policy or BatchingPolicy()
+    batch_latency_ms = as_curve(batch_latency_ms, policy.max_batch)
     best = 0.0
     reports = []
     for qps in qps_grid:

@@ -5,11 +5,18 @@ stages are compute-bound GEMMs (prior work it cites) and are timed with
 a standard roofline — ``max(flops / peak_flops, bytes / hbm_bw)`` per
 layer — plus the host costs a real serving pipeline pays: PCIe transfer
 of the batch inputs and per-kernel launch overhead.
+
+Every function takes the batch size as a Python int or as a numpy
+integer array; with an array each output is the array of per-batch
+times, computed by the same IEEE operations as the scalar call, which
+is how a whole batch-latency table is built in one evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.config.gpu import GpuSpec
 from repro.config.model import DLRMConfig
@@ -29,7 +36,7 @@ def gemm_roofline_us(
     bytes_moved = _FP32 * (fan_in * fan_out + batch * (fan_in + fan_out))
     compute_s = flops / (gpu.fp32_tflops * 1e12)
     memory_s = bytes_moved / (gpu.hbm_bandwidth_gbps * 1e9)
-    return 1e6 * max(compute_s, memory_s)
+    return 1e6 * np.maximum(compute_s, memory_s)
 
 
 def mlp_us(gpu: GpuSpec, batch: int, dims: tuple[int, ...]) -> float:
@@ -49,7 +56,7 @@ def interaction_us(gpu: GpuSpec, model: DLRMConfig, batch: int) -> float:
     bytes_moved = _FP32 * batch * (n * dim + out_dim + out_dim)
     compute_s = flops / (gpu.fp32_tflops * 1e12)
     memory_s = bytes_moved / (gpu.hbm_bandwidth_gbps * 1e9)
-    return 1e6 * max(compute_s, memory_s)
+    return 1e6 * np.maximum(compute_s, memory_s)
 
 
 def input_transfer_us(gpu: GpuSpec, model: DLRMConfig, batch: int) -> float:
@@ -86,7 +93,7 @@ def non_embedding_time(
     gpu: GpuSpec, model: DLRMConfig, *, batch_size: int | None = None
 ) -> NonEmbeddingTiming:
     """Latency of the three dense stages + host costs, full-chip model."""
-    batch = batch_size or model.batch_size
+    batch = model.batch_size if batch_size is None else batch_size
     bottom_dims = model.bottom_mlp_dims
     top_in = interaction_output_dim(model.num_tables, model.table.dim)
     top_dims = (top_in, *model.top_mlp_dims)

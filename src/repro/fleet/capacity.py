@@ -21,16 +21,19 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from repro.config.gpu import GpuSpec
 from repro.config.model import PAPER_MODEL, DLRMConfig
 from repro.config.scale import SimScale
 from repro.core.pipeline import run_inference
 from repro.core.schemes import Scheme
-from repro.core.serving import interpolated_latency_model
+from repro.core.curve import MAX_BATCH, LatencyCurve, as_curve
+from repro.core.serving import LatencyModel, interpolated_latency_model
 from repro.dlrm.timing import non_embedding_time
 from repro.gpusim.memo import KernelMemo
 from repro.fleet.report import FleetReport
-from repro.fleet.router import LatencyModel, RoutingPolicy, simulate_fleet
+from repro.fleet.router import RoutingPolicy, simulate_fleet
 from repro.fleet.topology import FleetSpec
 
 #: Per-replica QPS grid, scaled by fleet size for the default fleet grid.
@@ -73,7 +76,7 @@ def calibrated_latency_model(
     num_sms: int = 2,
     seed: int = 0,
     memo: KernelMemo | None = None,
-) -> LatencyModel:
+) -> LatencyCurve:
     """Batch-latency curve from full pipeline simulations.
 
     Runs the end-to-end inference simulation at each calibration batch
@@ -101,7 +104,7 @@ def tiered_latency_model(
     *,
     host_us_per_query: float,
 ) -> LatencyModel:
-    """Wrap a batch-latency curve with the host-tier fetch cost.
+    """A batch-latency curve plus the host-tier fetch cost.
 
     ``host_us_per_query`` comes from a memstore calibration — e.g. a
     :class:`~repro.fleet.placement.TieredShard`'s per-query host time,
@@ -109,18 +112,13 @@ def tiered_latency_model(
     HBM-miss traffic is bandwidth-bound and per-batch link latency is
     second-order, so the penalty scales linearly in batch size — the
     same shape assumption :func:`linear_latency_model` makes for the
-    embedding stage itself.  A fully-resident plan has
-    ``host_us_per_query == 0`` and returns the base curve unchanged.
+    embedding stage itself (:meth:`LatencyCurve.plus_per_query`).  A
+    fully-resident plan has ``host_us_per_query == 0`` and returns the
+    base curve unchanged; a plain callable base is tabulated first.
     """
-    if host_us_per_query < 0:
-        raise ValueError("host_us_per_query must be >= 0")
     if host_us_per_query == 0:
         return base_model
-
-    def latency_ms(batch: int) -> float:
-        return base_model(batch) + host_us_per_query * batch / 1e3
-
-    return latency_ms
+    return as_curve(base_model).plus_per_query(host_us_per_query)
 
 
 def tiered_fleet_models(
@@ -161,23 +159,24 @@ def linear_latency_model(
     emb_us: float,
     emb_batch: int,
     model: DLRMConfig = PAPER_MODEL,
-) -> LatencyModel:
+) -> LatencyCurve:
     """Batch-latency curve from a single calibrated embedding point.
 
     The embedding stage is bandwidth-bound and scales ~linearly in batch
-    size; the dense stages come from the roofline at the requested batch.
+    size; the dense stages come from the roofline at each batch size.
     Cheaper than :func:`calibrated_latency_model` when a harness context
-    already holds the embedding-stage time at one batch size.
+    already holds the embedding-stage time at one batch size.  The whole
+    table is one vectorized roofline evaluation over every batch size.
     """
     if emb_batch < 1:
         raise ValueError("emb_batch must be >= 1")
-
-    def latency_ms(batch: int) -> float:
-        emb = emb_us * batch / emb_batch
-        non_emb = non_embedding_time(gpu, model, batch_size=batch).total_us
-        return (emb + non_emb) / 1e3
-
-    return latency_ms
+    batch = np.arange(MAX_BATCH + 1)
+    emb = emb_us * batch / emb_batch
+    non_emb = non_embedding_time(gpu, model, batch_size=batch).total_us
+    return LatencyCurve(
+        (emb + non_emb) / 1e3,
+        f"linear({gpu.name}, {emb_us:g}us@{emb_batch})",
+    )
 
 
 # ----------------------------------------------------------------------

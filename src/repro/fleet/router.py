@@ -23,6 +23,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.curve import LatencyCurve, LatencyModel, as_curve
+from repro.core.serving import check_arrivals
 from repro.fleet.report import (
     FleetReport,
     fold_fleet_report,
@@ -31,12 +33,15 @@ from repro.fleet.topology import FleetSpec, ReplicaSpec
 from repro.telemetry.events import ArrivalBlock, BatchBlock, FleetRun
 from repro.telemetry.sinks import Sink, emit_run
 
-#: A batch-latency curve: batch size -> milliseconds.
-LatencyModel = Callable[[int], float]
-
 
 class _ReplicaState:
-    """Mutable simulation state of one replica (queue + GPU timeline)."""
+    """Mutable simulation state of one replica (queue + GPU timeline).
+
+    ``latency_ms`` is the replica's curve as a plain list indexed by
+    batch size — the router reads it per arrival, so it avoids numpy
+    scalar overhead.  A plain callable is tabulated here, over the
+    replica's batching domain.
+    """
 
     __slots__ = (
         "spec", "latency_ms", "queue", "gpu_free",
@@ -46,7 +51,9 @@ class _ReplicaState:
 
     def __init__(self, spec: ReplicaSpec, latency_ms: LatencyModel) -> None:
         self.spec = spec
-        self.latency_ms = latency_ms
+        max_batch = spec.batching.max_batch
+        curve = as_curve(latency_ms, max_batch)
+        self.latency_ms = curve.ms[:max_batch + 1].tolist()
         self.queue: deque[tuple[float, int]] = deque()
         self.gpu_free = 0.0
         # per-batch columns in dispatch order, plus the batched queries'
@@ -75,7 +82,7 @@ class _ReplicaState:
                 break
             size = min(len(self.queue), self.spec.batching.max_batch)
             batch = [self.queue.popleft() for _ in range(size)]
-            exec_s = self.latency_ms(size) / 1e3
+            exec_s = self.latency_ms[size] / 1e3
             self.gpu_free = at + exec_s
             self.batch_starts.append(float(at))
             self.batch_exec.append(exec_s)
@@ -116,9 +123,9 @@ class _ReplicaState:
         max_batch = self.spec.batching.max_batch
         pending = self.queue_len() + 1
         full_batches, remainder = divmod(pending, max_batch)
-        work_ms = full_batches * self.latency_ms(max_batch)
+        work_ms = full_batches * self.latency_ms[max_batch]
         if remainder:
-            work_ms += self.latency_ms(remainder)
+            work_ms += self.latency_ms[remainder]
         return self.backlog_s(now) + work_ms / 1e3
 
 
@@ -220,9 +227,17 @@ def resolve_policy(policy: str | RoutingPolicy) -> RoutingPolicy:
 
 
 def resolve_latency_models(
-    fleet: FleetSpec, latency_models: Mapping[str, LatencyModel]
-) -> dict[str, LatencyModel]:
-    """Map each replica to its curve, by replica name or by GPU name."""
+    fleet: FleetSpec,
+    latency_models: Mapping[str, LatencyModel],
+    seen: dict | None = None,
+) -> dict[str, LatencyCurve]:
+    """Map each replica to its validated table, by replica name or by
+    GPU name, covering the replica's ``1..batching.max_batch``.
+
+    Replicas sharing one plain callable share one tabulation (see
+    :func:`repro.core.curve.as_curve` for ``seen``).
+    """
+    seen = {} if seen is None else seen
     resolved = {}
     for replica in fleet.replicas:
         model = latency_models.get(replica.name) \
@@ -232,7 +247,9 @@ def resolve_latency_models(
                 f"no latency model for replica {replica.name!r} "
                 f"(gpu {replica.gpu.name!r})"
             )
-        resolved[replica.name] = model
+        resolved[replica.name] = as_curve(
+            model, replica.batching.max_batch, seen
+        )
     return resolved
 
 
@@ -245,10 +262,11 @@ def _route_stream(
     policy: str | RoutingPolicy,
     seed: int,
 ) -> tuple[list[_ReplicaState], RoutingPolicy, float]:
-    """Route a time-sorted arrival stream and drain every replica."""
-    models = resolve_latency_models(fleet, latency_models)
+    """Route a time-sorted arrival stream and drain every replica; each
+    replica's curve is resolved to a table once, at entry."""
+    curves = resolve_latency_models(fleet, latency_models)
     states = [
-        _ReplicaState(replica, models[replica.name])
+        _ReplicaState(replica, curves[replica.name])
         for replica in fleet.replicas
     ]
     router = resolve_policy(policy)
@@ -320,7 +338,8 @@ def simulate_fleet(
     """Discrete-event simulation of a routed fleet serving Poisson load.
 
     ``latency_models`` maps replica names — or, as a convenient fallback,
-    GPU names — to batch-latency curves (ms as a function of batch size).
+    GPU names — to batch-latency curves (:class:`LatencyCurve` tables or
+    plain callables batch size -> ms, tabulated once at entry).
     Query latency = routing (instant) + batching wait + queueing + batch
     execution on the assigned replica.  The run's telemetry (arrival
     block + one batch block per replica) goes to ``sink``, falling back
@@ -349,6 +368,7 @@ def _simulate_fleet_stream_run(
     times = np.asarray(stream.times, dtype=float)
     if len(times) == 0:
         raise ValueError(f"arrival stream {stream.name!r} is empty")
+    check_arrivals(times, stream.name)
     phase_ids = np.asarray(stream.phase_ids)
     states, router, _horizon = _route_stream(
         fleet, latency_models, times, phase_ids, policy=policy, seed=seed,
@@ -434,6 +454,17 @@ def subfleet(fleet: FleetSpec, replicas: Sequence[str]) -> FleetSpec:
     )
 
 
+def tenant_fleet(
+    fleet: FleetSpec,
+    assignments: Mapping[str, Sequence[str]] | None,
+    tenant: str,
+) -> FleetSpec:
+    """The replicas ``tenant`` is routed over: its assignment, else the
+    whole fleet."""
+    replicas = assignments.get(tenant) if assignments is not None else None
+    return fleet if replicas is None else subfleet(fleet, replicas)
+
+
 def _simulate_fleet_tenant_stream_runs(
     fleet: FleetSpec,
     latency_models: Mapping[str, Mapping[str, LatencyModel]],
@@ -451,17 +482,12 @@ def _simulate_fleet_tenant_stream_runs(
     reports: dict[str, FleetReport] = {}
     runs: dict[str, FleetRun] = {}
     for name in streams:
-        replicas = (
-            assignments.get(name) if assignments is not None else None
-        )
-        sub = (
-            fleet if replicas is None else subfleet(fleet, replicas)
-        )
         sla = (
             sla_ms.get(name) if isinstance(sla_ms, Mapping) else sla_ms
         )
         reports[name], runs[name] = _simulate_fleet_stream_run(
-            sub, latency_models[name], streams[name],
+            tenant_fleet(fleet, assignments, name),
+            latency_models[name], streams[name],
             policy=policy, sla_ms=sla, seed=seed, tenant=name,
         )
     return reports, runs

@@ -38,6 +38,12 @@ class ReplicaSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("replica name must be non-empty")
+        if not isinstance(self.batching, BatchingPolicy):
+            raise ValueError(
+                f"replica {self.name!r}: batching must be a BatchingPolicy, "
+                f"got {type(self.batching).__name__}; the fleet router "
+                "implements size-or-timeout batching only"
+            )
 
     @property
     def cost_units(self) -> float:

@@ -175,9 +175,8 @@ class StatsSink(Sink):
             n = len(block)
             self._count("arrival", n)
             if n:
-                transitions = 1 + int(np.count_nonzero(
-                    np.diff(np.asarray(block.phase_ids))
-                ))
+                ids = np.asarray(block.phase_ids)
+                transitions = 1 + int(np.count_nonzero(ids[1:] != ids[:-1]))
                 self._count("phase_start", transitions)
                 self._count("phase_end", transitions)
             if current is not None:
@@ -318,19 +317,22 @@ class RecorderSink(Sink):
 
     def emit_block(self, block: ArrivalBlock | BatchBlock) -> None:
         record = block.to_record()
-        text = self._encode_block(record)
-        if text is None:
+        pieces = self._encode_block(record)
+        if pieces is None:
             self._write(record)
             return
-        self._file.write(text)
+        for piece in pieces:
+            self._file.write(piece)
         self._file.write("\n")
         self.records += 1
 
     @staticmethod
-    def _encode_block(record: dict[str, Any]) -> str | None:
-        """Serialize a block record, splicing large base64 payloads in
-        raw instead of letting ``json.dumps`` escape-scan them — base64
-        needs no escaping, and the columns dominate the line.  Returns
+    def _encode_block(record: dict[str, Any]) -> list[str] | None:
+        """Serialize a block record as the pieces of one line, splicing
+        large base64 payloads in raw instead of letting ``json.dumps``
+        escape-scan them — base64 needs no escaping, and the columns
+        dominate the line.  The pieces are written one by one rather
+        than joined, which would copy every payload once more.  Returns
         ``None`` (caller falls back to plain ``json.dumps``) when the
         envelope unexpectedly collides with the splice markers."""
         payloads: list[str] = []
@@ -343,9 +345,9 @@ class RecorderSink(Sink):
             ):
                 payloads.append(value["b"])
                 shallow[key] = {**value, "b": f"\x01{len(payloads) - 1}"}
-        if not payloads:
-            return json.dumps(shallow, separators=(",", ":"))
         text = json.dumps(shallow, separators=(",", ":"))
+        if not payloads:
+            return [text]
         parts = text.split('"\\u0001')
         if len(parts) != len(payloads) + 1:
             return None
@@ -353,7 +355,7 @@ class RecorderSink(Sink):
         for part in parts[1:]:
             index, rest = part.split('"', 1)
             out.extend(('"', payloads[int(index)], '"', rest))
-        return "".join(out)
+        return out
 
     def close(self) -> None:
         if self._closed:

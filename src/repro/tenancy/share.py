@@ -30,16 +30,19 @@ non-decreasing in every co-runner's load.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.config.gpu import A100_SXM4_80GB, GpuSpec
 from repro.config.scale import SimScale
 from repro.core.embedding import kernel_workload, run_table_kernel
+from repro.core.curve import LatencyCurve, as_curve
 from repro.core.serving import (
     BatchingPolicy,
     ContinuousBatching,
     LatencyModel,
     StreamReport,
+    _default_policy,
+    _resolve_phase_models,
     _serve_tenant_stream_runs,
     fold_stream_report,
 )
@@ -47,7 +50,11 @@ from repro.datasets.spec import HOTNESS_PRESETS
 from repro.dlrm.timing import KERNEL_LAUNCH_US
 from repro.fleet.capacity import linear_latency_model
 from repro.fleet.report import FleetReport, fold_fleet_report
-from repro.fleet.router import _simulate_fleet_tenant_stream_runs
+from repro.fleet.router import (
+    _simulate_fleet_tenant_stream_runs,
+    resolve_latency_models,
+    tenant_fleet,
+)
 from repro.fleet.topology import FleetSpec
 from repro.gpusim.memo import KernelMemo
 from repro.memstore.store import HostLink
@@ -129,7 +136,7 @@ class TenantCalibration:
     gpu_name: str
     demand: ShareDemand
     embedding_stage_us: float
-    latency_ms: LatencyModel = field(repr=False, compare=False)
+    latency_ms: LatencyCurve = field(repr=False, compare=False)
 
 
 def calibrate_tenant(
@@ -253,28 +260,15 @@ def zoo_effective_times(
 def shared_latency_model(
     solo: LatencyModel, factor: float
 ) -> LatencyModel:
-    """The solo curve under contention.  A factor of exactly 1.0
-    returns the solo callable itself, so a degenerate one-tenant zoo
-    is served by *the same function object* — bit-identical results,
-    not merely close ones."""
+    """The solo curve under contention: every entry times ``factor``
+    (:meth:`LatencyCurve.scaled`).  A factor of exactly 1.0 returns the
+    solo curve itself, so a degenerate one-tenant zoo is served by *the
+    same object* — bit-identical results, not merely close ones."""
     if factor < 1.0:
         raise ValueError("contention factor must be >= 1.0")
     if factor == 1.0:
         return solo
-    return lambda batch: solo(batch) * factor
-
-
-def _scaled_models(latency_ms, factor: float):
-    """Apply a contention factor to a curve, a per-phase sequence of
-    curves, or a mapping of curves by phase name."""
-    if callable(latency_ms):
-        return shared_latency_model(latency_ms, factor)
-    if isinstance(latency_ms, Mapping):
-        return {
-            name: shared_latency_model(model, factor)
-            for name, model in latency_ms.items()
-        }
-    return [shared_latency_model(m, factor) for m in latency_ms]
+    return as_curve(solo).scaled(factor)
 
 
 # ----------------------------------------------------------------------
@@ -392,9 +386,21 @@ def simulate_zoo_serving(
         }
     slas = {t.name: t.sla_ms for t in zoo.tenants}
     scheme_names = {t.name: t.scheme.name for t in zoo.tenants}
+    # each tenant's per-phase tables, resolved once for both passes
+    seen: dict = {}
+    curves = {
+        name: _resolve_phase_models(
+            latency_models[name], streams[name].phases,
+            _default_policy(
+                policies.get(name) if policies else None, slas.get(name)
+            ).max_batch,
+            seen,
+        )
+        for name in streams
+    }
 
     solo, solo_runs = _serve_tenant_stream_runs(
-        latency_models, streams,
+        curves, streams,
         policies=policies, sla_ms=slas,
         scheme_names=scheme_names,
         phase_hit_rates=phase_hit_rates,
@@ -410,7 +416,7 @@ def simulate_zoo_serving(
         runs = solo_runs
     else:
         contended = {
-            name: _scaled_models(latency_models[name], factors[name])
+            name: [curve.scaled(factors[name]) for curve in curves[name]]
             for name in zoo.tenant_names
         }
         _, runs = _serve_tenant_stream_runs(
@@ -511,9 +517,19 @@ def simulate_zoo_fleet(
             name: ShareDemand(1.0, 1.0) for name in zoo.tenant_names
         }
     slas = {t.name: t.sla_ms for t in zoo.tenants}
+    # each tenant's table per replica it may use, resolved once for both
+    # passes
+    seen: dict = {}
+    curves = {
+        name: resolve_latency_models(
+            tenant_fleet(fleet, assignments, name),
+            latency_models[name], seen,
+        )
+        for name in zoo.tenant_names
+    }
 
     solo, solo_runs = _simulate_fleet_tenant_stream_runs(
-        fleet, latency_models, streams,
+        fleet, curves, streams,
         assignments=assignments, policy=policy,
         sla_ms=slas, seed=seed,
     )
@@ -548,12 +564,8 @@ def simulate_zoo_fleet(
     else:
         contended_models = {
             name: {
-                replica: shared_latency_model(
-                    _resolve_replica_model(latency_models[name], replica,
-                                           fleet),
-                    factors[name].get(replica, 1.0),
-                )
-                for replica in _tenant_replicas(fleet, assignments, name)
+                replica: curve.scaled(factors[name].get(replica, 1.0))
+                for replica, curve in curves[name].items()
             }
             for name in zoo.tenant_names
         }
@@ -577,25 +589,3 @@ def simulate_zoo_fleet(
     report = fold_zoo_fleet_report(group)
     emit_run(sink, group)
     return report
-
-
-def _tenant_replicas(
-    fleet: FleetSpec,
-    assignments: Mapping[str, Sequence[str]] | None,
-    tenant: str,
-) -> tuple[str, ...]:
-    if assignments is None or tenant not in assignments:
-        return tuple(r.name for r in fleet.replicas)
-    return tuple(assignments[tenant])
-
-
-def _resolve_replica_model(
-    models: Mapping[str, LatencyModel], replica: str, fleet: FleetSpec
-) -> LatencyModel:
-    """One tenant's curve for one replica (replica name, else GPU name)."""
-    if replica in models:
-        return models[replica]
-    for spec in fleet.replicas:
-        if spec.name == replica and spec.gpu.name in models:
-            return models[spec.gpu.name]
-    raise KeyError(f"no latency model for replica {replica!r}")

@@ -30,6 +30,7 @@ from repro.config.model import PAPER_MODEL, DLRMConfig
 from repro.config.scale import SimScale
 from repro.core.drift import DriftModel
 from repro.core.embedding import kernel_workload, run_table_kernel
+from repro.core.curve import LatencyCurve, as_curve
 from repro.core.schemes import L2P_OPTMT, Scheme
 from repro.core.serving import (
     BatchingPolicy,
@@ -153,13 +154,11 @@ def drift_phase_factors(
 
 def scaled_latency_models(
     base_model: LatencyModel, factors: Sequence[float]
-) -> list[LatencyModel]:
-    """One latency curve per phase: the base curve scaled per factor."""
-
-    def scaled(factor: float) -> LatencyModel:
-        return lambda batch: base_model(batch) * factor
-
-    return [scaled(float(f)) for f in factors]
+) -> list[LatencyCurve]:
+    """One latency curve per phase: the base curve scaled per factor
+    (:meth:`LatencyCurve.scaled`; a plain callable is tabulated once)."""
+    base = as_curve(base_model)
+    return [base.scaled(float(f)) for f in factors]
 
 
 @dataclass(frozen=True)

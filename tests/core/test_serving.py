@@ -1,8 +1,11 @@
 """Serving-layer simulation: batching, tails, sustainable load."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.curve import LatencyCurve
 from repro.core.serving import (
     BatchingPolicy,
     ContinuousBatching,
@@ -10,8 +13,10 @@ from repro.core.serving import (
     max_sustainable_qps,
     resolve_percentile_field,
     serve_stream,
+    serve_tenant_streams,
     simulate_serving,
 )
+from repro.traffic.scenario import StationarySpec, generate_arrivals
 
 
 def linear_model(batch):
@@ -267,3 +272,65 @@ class TestServeStream:
         assert [p.phase for p in report.phases] == ["a", "b"]
         assert all(p.n_queries == 2 for p in report.phases)
         assert report.offered_qps == pytest.approx(2.0)
+
+
+class TestStreamBoundary:
+    """Bad inputs fail at the serving entry points instead of turning
+    into wrong numbers."""
+
+    def _stream(self):
+        return generate_arrivals(
+            StationarySpec(base_qps=1000, duration_s=1.0), seed=0
+        )
+
+    def test_unsorted_arrivals_raise(self):
+        stream = self._stream()
+        shuffled = dataclasses.replace(
+            stream, name="shuffled",
+            times=np.random.default_rng(0).permutation(stream.times),
+        )
+        match = r"arrival stream 'shuffled' is not sorted: index \d+"
+        for policy in (BatchingPolicy(), ContinuousBatching(sla_ms=20.0)):
+            with pytest.raises(ValueError, match=match):
+                serve_stream(linear_model, shuffled, policy=policy)
+        with pytest.raises(ValueError, match=match):
+            serve_tenant_streams({"t": linear_model}, {"t": shuffled})
+
+    def test_nan_arrival_raises(self):
+        stream = self._stream()
+        times = stream.times.copy()
+        times[17] = np.nan
+        broken = dataclasses.replace(stream, name="holey", times=times)
+        with pytest.raises(
+            ValueError, match=r"'holey': time at index 17 is nan"
+        ):
+            serve_stream(linear_model, broken)
+
+    def test_curve_shorter_than_policy_raises(self):
+        short = LatencyCurve.from_fn(linear_model, 64)
+        with pytest.raises(ValueError, match=r"1\.\.64.*up to 2048"):
+            serve_stream(short, self._stream(), policy=BatchingPolicy())
+        with pytest.raises(ValueError, match=r"1\.\.64.*up to 2048"):
+            simulate_serving(short, qps=100)
+        report = serve_stream(
+            short, self._stream(), policy=BatchingPolicy(max_batch=64)
+        )
+        assert report.n_queries == len(self._stream().times)
+
+    def test_non_monotone_callable_refused(self):
+        with pytest.raises(ValueError, match=r"drops at batch sizes 99->100"):
+            serve_stream(
+                lambda b: 5.0 if b >= 100 else 10.0, self._stream(),
+                policy=ContinuousBatching(max_batch=256, sla_ms=20.0),
+            )
+
+    @pytest.mark.parametrize("policy", [
+        BatchingPolicy(max_batch=512),
+        ContinuousBatching(max_batch=512, sla_ms=15.0),
+    ], ids=["fixed", "continuous-sla"])
+    def test_table_and_callable_serve_identically(self, policy):
+        stream = self._stream()
+        table = LatencyCurve.from_fn(linear_model, 512)
+        assert serve_stream(table, stream, policy=policy) == serve_stream(
+            linear_model, stream, policy=policy
+        )

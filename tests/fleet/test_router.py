@@ -1,16 +1,23 @@
 """Routed fleet simulation: policies, dispatch semantics, consistency."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.config.gpu import A100_SXM4_80GB, H100_NVL
+from repro.core.curve import LatencyCurve
 from repro.core.serving import BatchingPolicy, simulate_serving
 from repro.fleet.router import (
     ROUTING_POLICIES,
     JoinShortestQueuePolicy,
     resolve_policy,
     simulate_fleet,
+    simulate_fleet_stream,
+    simulate_fleet_tenant_streams,
 )
 from repro.fleet.topology import FleetSpec
+from repro.traffic.scenario import StationarySpec, generate_arrivals
 
 
 def a100_model(batch):
@@ -143,3 +150,70 @@ class TestSimulateFleet:
     def test_invalid_qps_rejected(self):
         with pytest.raises(ValueError):
             simulate_fleet(homo_fleet(), MODELS, qps=0)
+
+
+class TestBoundaryValidation:
+    """Bad inputs fail at the fleet entry points instead of turning into
+    wrong numbers."""
+
+    def _stream(self):
+        return generate_arrivals(
+            StationarySpec(base_qps=1000, duration_s=1.0), seed=0
+        )
+
+    def test_unsorted_arrivals_raise(self):
+        stream = self._stream()
+        shuffled = dataclasses.replace(
+            stream, name="shuffled",
+            times=np.random.default_rng(0).permutation(stream.times),
+        )
+        match = r"arrival stream 'shuffled' is not sorted: index \d+"
+        with pytest.raises(ValueError, match=match):
+            simulate_fleet_stream(mixed_fleet(), MODELS, shuffled)
+        with pytest.raises(ValueError, match=match):
+            simulate_fleet_tenant_streams(
+                mixed_fleet(), {"t": MODELS}, {"t": shuffled},
+            )
+
+    def test_nan_arrival_raises(self):
+        stream = self._stream()
+        times = stream.times.copy()
+        times[17] = np.nan
+        broken = dataclasses.replace(stream, name="holey", times=times)
+        with pytest.raises(
+            ValueError, match=r"'holey': time at index 17 is nan"
+        ):
+            simulate_fleet_stream(homo_fleet(), MODELS, broken)
+
+    def test_curve_shorter_than_replica_batch_raises(self):
+        short = LatencyCurve.from_fn(a100_model, POLICY.max_batch - 1)
+        with pytest.raises(ValueError, match=r"1\.\.255.*up to 256"):
+            simulate_fleet_stream(
+                homo_fleet(), {A100_SXM4_80GB.name: short}, self._stream(),
+            )
+
+    def test_shared_callable_tabulated_once_per_call(self):
+        calls = []
+
+        def counted(batch):
+            calls.append(batch)
+            return a100_model(batch)
+
+        simulate_fleet(
+            homo_fleet(8), {A100_SXM4_80GB.name: counted},
+            qps=500, duration_s=0.2,
+        )
+        assert calls == list(range(1, POLICY.max_batch + 1))
+
+    def test_table_and_callable_route_identically(self):
+        stream = self._stream()
+        tables = {
+            name: LatencyCurve.from_fn(model, POLICY.max_batch)
+            for name, model in MODELS.items()
+        }
+        for policy in ROUTING_POLICIES:
+            assert simulate_fleet_stream(
+                mixed_fleet(), tables, stream, policy=policy,
+            ) == simulate_fleet_stream(
+                mixed_fleet(), MODELS, stream, policy=policy,
+            )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config.gpu import A100_SXM4_80GB, H100_NVL
 from repro.core.schemes import OPTMT
-from repro.core.serving import BatchingPolicy
+from repro.core.serving import BatchingPolicy, ContinuousBatching
 from repro.fleet.topology import GPU_COST_UNITS, FleetSpec, ReplicaSpec
 
 
@@ -23,6 +23,17 @@ class TestReplicaSpec:
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             ReplicaSpec(name="", gpu=A100_SXM4_80GB)
+
+    def test_continuous_batching_rejected_with_clear_error(self):
+        """The router batches size-or-timeout only; a continuous batcher
+        must fail at construction, not mid-run with AttributeError."""
+        with pytest.raises(
+            ValueError, match=r"replica 'r0'.*size-or-timeout batching only"
+        ):
+            ReplicaSpec(name="r0", gpu=A100_SXM4_80GB,
+                        batching=ContinuousBatching(sla_ms=20.0))
+        with pytest.raises(ValueError, match=r"replica 'H100-NVL/0'"):
+            FleetSpec.homogeneous(H100_NVL, 2, batching=ContinuousBatching())
 
 
 class TestFleetSpec:
