@@ -35,6 +35,7 @@ single curve is.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -265,16 +266,18 @@ def interpolated_latency_model(
 
 
 # ----------------------------------------------------------------------
-# the event loop
+# the batching rule and the single-GPU event loop
 # ----------------------------------------------------------------------
 def _adaptive_batch(
     curve: LatencyCurve,
-    queue_times: np.ndarray,
+    times: Sequence[float],
+    head: int,
+    waiting: int,
     start: float,
-    max_batch: int,
     sla_ms: float,
 ) -> int:
-    """Goodput-greedy batch sizing under SLA pressure.
+    """Goodput-greedy batch sizing under SLA pressure, over the
+    ``waiting`` oldest queued queries ``times[head:head + waiting]``.
 
     Among candidate batch sizes, pick the one completing the most
     queries *within the SLA* per second of GPU time; ties go to the
@@ -286,7 +289,6 @@ def _adaptive_batch(
     candidate scores zero and the tie-break drains at full width, which
     maximizes goodput of the queries arriving behind the backlog.
     """
-    waiting = min(len(queue_times), max_batch)
     if waiting <= 1:
         return waiting
     candidates = set()
@@ -294,7 +296,7 @@ def _adaptive_batch(
     while size >= 1:
         candidates.add(size)
         size //= 2
-    slack_ms = sla_ms - (start - float(queue_times[0])) * 1e3
+    slack_ms = sla_ms - (start - times[head]) * 1e3
     for budget in (sla_ms, slack_ms):
         fit = curve.fits_within(waiting, budget)
         if fit:
@@ -303,9 +305,7 @@ def _adaptive_batch(
     for size in sorted(candidates):
         exec_batch_ms = float(curve.ms[size])
         cutoff = start + (exec_batch_ms - sla_ms) / 1e3
-        hits = size - int(
-            np.searchsorted(queue_times[:size], cutoff, side="left")
-        )
+        hits = size - (bisect_left(times, cutoff, head, head + size) - head)
         # primary: in-SLA completions per GPU-millisecond; secondary:
         # raw throughput, which is what matters once nothing can be
         # saved and the backlog just needs to drain fastest
@@ -315,16 +315,56 @@ def _adaptive_batch(
     return best_size
 
 
+def next_batch(
+    policy: BatchingPolicy | ContinuousBatching,
+    times: Sequence[float],
+    head: int,
+    gpu_free: float,
+    curve: LatencyCurve,
+) -> tuple[float, int]:
+    """The batching rule, shared by the single-GPU loop and every fleet
+    replica: (dispatch time, size) of the next batch off the time-sorted
+    queue ``times[head:]``, given when the GPU frees and its latency
+    table (only SLA-adaptive sizing reads it).
+
+    An arrival at exactly the dispatch instant joins the batch.  Only
+    queries that arrived by the dispatch time matter, so a caller that
+    learns arrivals one by one may commit the decision once an arrival
+    lands strictly later.
+    """
+    first = times[head]
+    if isinstance(policy, ContinuousBatching):
+        start = max(gpu_free, first)
+        waiting = min(bisect_right(times, start, head) - head,
+                      policy.max_batch)
+        if policy.sla_ms is None:
+            return start, waiting
+        return start, _adaptive_batch(
+            curve, times, head, waiting, start, policy.sla_ms
+        )
+    # size-or-timeout: the batch closes when full, or at
+    # max(oldest + timeout, gpu_free) — arrivals during the GPU's busy
+    # period keep joining, exactly as a host-side queue would
+    threshold = max(first + policy.timeout_ms / 1e3, gpu_free)
+    waiting = bisect_right(times, threshold, head) - head
+    if waiting >= policy.max_batch:
+        full = policy.max_batch
+        return max(times[head + full - 1], gpu_free), full
+    return threshold, waiting
+
+
 def _serve_arrays(
     times: np.ndarray,
     phase_ids: np.ndarray,
     curves: Sequence[LatencyCurve],
     policy: BatchingPolicy | ContinuousBatching,
-) -> tuple[list[float], list[float], list[int]]:
-    """Serve time-sorted arrivals on one GPU; the shared event loop.
+    phases: tuple[str, ...],
+) -> BatchBlock:
+    """Serve time-sorted arrivals on one GPU, one :func:`next_batch`
+    decision per batch.
 
-    Returns the per-batch columns in dispatch order — start times
-    (seconds), execution seconds, and sizes.  Everything the reports
+    Returns the run's batch block: start times (seconds), execution
+    seconds and sizes, in dispatch order.  Everything the reports
     carry (per-query latencies, busy time, utilization) derives from
     these columns via the pure folds below, which is what lets a
     recorded run replay field-identical without re-running this loop.
@@ -333,51 +373,27 @@ def _serve_arrays(
     batches are rare and the approximation is second-order); each curve
     must cover ``1..policy.max_batch``.
     """
-    n = len(times)
+    queue = times.tolist()
     batch_starts: list[float] = []
     batch_exec: list[float] = []
     batch_sizes: list[int] = []
-    continuous = isinstance(policy, ContinuousBatching)
     gpu_free = 0.0
     head = 0
-    while head < n:
-        first_t = times[head]
-        if continuous:
-            start = max(gpu_free, first_t)
-            waiting = int(
-                np.searchsorted(times[head:], start, side="right")
-            )
-            waiting = max(waiting, 1)
-            if policy.sla_ms is not None:
-                size = _adaptive_batch(
-                    curves[phase_ids[head]],
-                    times[head:head + waiting], start,
-                    policy.max_batch, policy.sla_ms,
-                )
-            else:
-                size = min(waiting, policy.max_batch)
-        else:
-            # size-or-timeout: the batch closes when full, or at
-            # max(oldest + timeout, gpu_free) — arrivals during the GPU's
-            # busy period keep joining, exactly as a host-side queue would
-            threshold = max(first_t + policy.timeout_ms / 1e3, gpu_free)
-            waiting = int(
-                np.searchsorted(times[head:], threshold, side="right")
-            )
-            waiting = max(waiting, 1)
-            if waiting >= policy.max_batch:
-                size = policy.max_batch
-                start = max(times[head + size - 1], gpu_free)
-            else:
-                size = waiting
-                start = threshold
-        exec_s = float(curves[phase_ids[head]].ms[size]) / 1e3
+    while head < len(queue):
+        curve = curves[phase_ids[head]]
+        start, size = next_batch(policy, queue, head, gpu_free, curve)
+        exec_s = float(curve.ms[size]) / 1e3
         gpu_free = start + exec_s
-        batch_starts.append(float(start))
+        batch_starts.append(start)
         batch_exec.append(exec_s)
         batch_sizes.append(size)
         head += size
-    return batch_starts, batch_exec, batch_sizes
+    return BatchBlock(
+        starts=np.asarray(batch_starts, dtype=float),
+        exec_s=np.asarray(batch_exec, dtype=float),
+        sizes=np.asarray(batch_sizes, dtype=np.int64),
+        phases=phases,
+    )
 
 
 def _batch_latencies_ms(
@@ -450,6 +466,49 @@ def check_arrivals(times: np.ndarray, stream: str) -> None:
             f"at {float(times[i])!r} s, before index {i - 1} at "
             f"{float(times[i - 1])!r} s"
         )
+
+
+def check_stream(stream) -> tuple[np.ndarray, np.ndarray]:
+    """(arrival times, phase ids) of a stream that every serving entry
+    point accepts: non-empty, ``duration_s > 0``, arrivals passing
+    :func:`check_arrivals`, and one phase id per arrival, each indexing
+    ``stream.phases`` (any other id would pick the wrong curve and drop
+    out of the per-phase stats)."""
+    name = stream.name
+    times = np.asarray(stream.times, dtype=float)
+    if len(times) == 0:
+        raise ValueError(f"arrival stream {name!r} is empty")
+    if not stream.duration_s > 0:
+        raise ValueError(
+            f"arrival stream {name!r} needs a positive duration_s, "
+            f"got {stream.duration_s!r}"
+        )
+    check_arrivals(times, name)
+    phase_ids = np.asarray(stream.phase_ids)
+    if len(phase_ids) != len(times):
+        raise ValueError(
+            f"arrival stream {name!r} has {len(phase_ids)} phase ids "
+            f"for {len(times)} arrivals"
+        )
+    n_phases = len(stream.phases)
+    bad = np.flatnonzero((phase_ids < 0) | (phase_ids >= n_phases))
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(
+            f"arrival stream {name!r}: phase id at index {i} is "
+            f"{int(phase_ids[i])}, outside its {n_phases} phases "
+            f"0..{n_phases - 1}"
+        )
+    return times, phase_ids
+
+
+def poisson_arrivals(qps: float, duration_s: float, seed: int) -> np.ndarray:
+    """``max(1, int(qps * duration_s))`` seeded Poisson arrival times."""
+    if qps <= 0:
+        raise ValueError("qps must be positive")
+    rng = np.random.default_rng(seed)
+    n = max(1, int(qps * duration_s))
+    return np.cumsum(rng.exponential(1.0 / qps, size=n))
 
 
 def _default_policy(
@@ -546,20 +605,11 @@ def _serve_stream_run(
     seen: dict | None = None,
 ) -> tuple[StreamReport, StreamRun]:
     """Run the event loop and package (report, run record)."""
-    if len(stream.times) == 0:
-        raise ValueError(f"arrival stream {stream.name!r} is empty")
-    if stream.duration_s <= 0:
-        raise ValueError(
-            f"arrival stream {stream.name!r} needs a positive duration_s"
-        )
-    times = np.asarray(stream.times, dtype=float)
-    check_arrivals(times, stream.name)
+    times, phase_ids = check_stream(stream)
     policy = _default_policy(policy, sla_ms)
     curves = _resolve_phase_models(
         latency_ms, stream.phases, policy.max_batch, seen
     )
-    phase_ids = np.asarray(stream.phase_ids)
-    starts, exec_s, sizes = _serve_arrays(times, phase_ids, curves, policy)
     phases = tuple(stream.phases)
     meta = {
         "kind": "stream",
@@ -584,12 +634,7 @@ def _serve_stream_run(
             phase_ids=np.asarray(phase_ids, dtype=np.int64),
             phases=phases,
         ),
-        batches=BatchBlock(
-            starts=np.asarray(starts, dtype=float),
-            exec_s=np.asarray(exec_s, dtype=float),
-            sizes=np.asarray(sizes, dtype=np.int64),
-            phases=phases,
-        ),
+        batches=_serve_arrays(times, phase_ids, curves, policy, phases),
     )
     return fold_stream_report(run), run
 
@@ -628,45 +673,6 @@ def serve_stream(
     return report
 
 
-def _serve_tenant_stream_runs(
-    latency_models: Mapping[str, LatencyModel | Sequence[LatencyModel]
-                            | Mapping[str, LatencyModel]],
-    streams: Mapping[str, object],
-    *,
-    policies: Mapping[str, BatchingPolicy | ContinuousBatching]
-              | None = None,
-    sla_ms: Mapping[str, float | None] | float | None = None,
-    scheme_names: Mapping[str, str] | None = None,
-    phase_hit_rates: Mapping[str, Sequence[float]] | None = None,
-) -> tuple[dict[str, StreamReport], dict[str, StreamRun]]:
-    """Per-tenant serves returning (reports, run records) by tenant."""
-    missing = sorted(set(streams) - set(latency_models))
-    if missing:
-        raise KeyError(f"no latency model for tenants {missing}")
-    reports: dict[str, StreamReport] = {}
-    runs: dict[str, StreamRun] = {}
-    seen: dict = {}
-    for name in streams:
-        sla = (
-            sla_ms.get(name) if isinstance(sla_ms, Mapping) else sla_ms
-        )
-        reports[name], runs[name] = _serve_stream_run(
-            latency_models[name],
-            streams[name],
-            policy=policies.get(name) if policies else None,
-            sla_ms=sla,
-            scheme_name=(
-                scheme_names.get(name, name) if scheme_names else name
-            ),
-            phase_hit_rates=(
-                phase_hit_rates.get(name) if phase_hit_rates else None
-            ),
-            tenant=name,
-            seen=seen,
-        )
-    return reports, runs
-
-
 def serve_tenant_streams(
     latency_models: Mapping[str, LatencyModel | Sequence[LatencyModel]
                             | Mapping[str, LatencyModel]],
@@ -692,11 +698,29 @@ def serve_tenant_streams(
     tenant's run record is emitted to ``sink`` (or the ambient default)
     with ``meta["tenant"]`` set.
     """
-    reports, runs = _serve_tenant_stream_runs(
-        latency_models, streams, policies=policies, sla_ms=sla_ms,
-        scheme_names=scheme_names, phase_hit_rates=phase_hit_rates,
-    )
-    for run in runs.values():
+    missing = sorted(set(streams) - set(latency_models))
+    if missing:
+        raise KeyError(f"no latency model for tenants {missing}")
+    reports: dict[str, StreamReport] = {}
+    seen: dict = {}
+    for name in streams:
+        sla = (
+            sla_ms.get(name) if isinstance(sla_ms, Mapping) else sla_ms
+        )
+        reports[name], run = _serve_stream_run(
+            latency_models[name],
+            streams[name],
+            policy=policies.get(name) if policies else None,
+            sla_ms=sla,
+            scheme_name=(
+                scheme_names.get(name, name) if scheme_names else name
+            ),
+            phase_hit_rates=(
+                phase_hit_rates.get(name) if phase_hit_rates else None
+            ),
+            tenant=name,
+            seen=seen,
+        )
         emit_run(sink, run)
     return reports
 
@@ -721,18 +745,10 @@ def simulate_serving(
     with a :mod:`repro.traffic` scenario instead.  The run's telemetry
     goes to ``sink`` (or the ambient default).
     """
-    if qps <= 0:
-        raise ValueError("qps must be positive")
+    arrivals = poisson_arrivals(qps, duration_s, seed)
     policy = policy or BatchingPolicy()
     curve = as_curve(batch_latency_ms, policy.max_batch)
-    rng = np.random.default_rng(seed)
-    n = max(1, int(qps * duration_s))
-    arrivals = np.cumsum(rng.exponential(1.0 / qps, size=n))
-
-    phase_ids = np.zeros(n, dtype=np.int64)
-    starts, exec_s, sizes = _serve_arrays(
-        arrivals, phase_ids, [curve], policy
-    )
+    phase_ids = np.zeros(len(arrivals), dtype=np.int64)
     run = StreamRun(
         meta={
             "kind": "serving",
@@ -744,12 +760,8 @@ def simulate_serving(
         arrivals=ArrivalBlock(
             times=arrivals, phase_ids=phase_ids, phases=("all",)
         ),
-        batches=BatchBlock(
-            starts=np.asarray(starts, dtype=float),
-            exec_s=np.asarray(exec_s, dtype=float),
-            sizes=np.asarray(sizes, dtype=np.int64),
-            phases=("all",),
-        ),
+        batches=_serve_arrays(arrivals, phase_ids, [curve], policy,
+                              ("all",)),
     )
     report = fold_serving_report(run)
     emit_run(sink, run)

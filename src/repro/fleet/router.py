@@ -1,12 +1,13 @@
 """SLA-aware query routing over a heterogeneous replica fleet.
 
-One Poisson query stream hits a router that assigns each query to a
-replica at arrival time; every replica runs its own size-or-timeout
-batcher (:class:`~repro.core.serving.BatchingPolicy`) and executes
-batches back to back on its GPU, whose batch latency comes from a
-per-replica calibrated model.  This composes the single-GPU serving
-simulation in :mod:`repro.core.serving` into the cluster-scale setting
-the paper's SLA framing targets (DeepRecSys-style serving studies).
+One query stream hits a router that assigns each query to a replica at
+arrival time; every replica batches its queue with the single-GPU rule
+(:func:`~repro.core.serving.next_batch`, under either batcher) and
+executes batches back to back on its GPU, whose batch latency comes
+from a per-replica calibrated model.  This composes the single-GPU
+serving simulation in :mod:`repro.core.serving` into the cluster-scale
+setting the paper's SLA framing targets (DeepRecSys-style serving
+studies).
 
 Routing policies are pluggable.  ``round-robin`` is the oblivious
 baseline; ``jsq`` (join-shortest-queue) and ``power-of-two`` use queue
@@ -18,13 +19,13 @@ and their tail blows up first.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.curve import LatencyCurve, LatencyModel, as_curve
-from repro.core.serving import check_arrivals
+from repro.core.serving import check_stream, next_batch, poisson_arrivals
 from repro.fleet.report import (
     FleetReport,
     fold_fleet_report,
@@ -35,60 +36,64 @@ from repro.telemetry.sinks import Sink, emit_run
 
 
 class _ReplicaState:
-    """Mutable simulation state of one replica (queue + GPU timeline).
+    """One replica under the router: its queue, its GPU clock, its batch
+    columns and the routing metrics.
 
-    ``latency_ms`` is the replica's curve as a plain list indexed by
-    batch size — the router reads it per arrival, so it avoids numpy
-    scalar overhead.  A plain callable is tabulated here, over the
-    replica's batching domain.
+    The queue is the routed arrival times (and phase ids) from ``head``
+    on; dispatched queries stay in the lists as the batch members.
+    ``due``/``size`` cache the pending batch decision (``due`` is inf
+    while the queue is empty).  ``latency_ms`` is the curve as a plain
+    list, which the per-arrival routing metrics read.
     """
 
     __slots__ = (
-        "spec", "latency_ms", "queue", "gpu_free",
+        "spec", "curve", "latency_ms", "times", "phases", "head",
+        "gpu_free", "due", "size",
         "batch_starts", "batch_exec", "batch_sizes",
-        "member_times", "member_phases",
     )
 
     def __init__(self, spec: ReplicaSpec, latency_ms: LatencyModel) -> None:
         self.spec = spec
         max_batch = spec.batching.max_batch
-        curve = as_curve(latency_ms, max_batch)
-        self.latency_ms = curve.ms[:max_batch + 1].tolist()
-        self.queue: deque[tuple[float, int]] = deque()
+        self.curve = as_curve(latency_ms, max_batch)
+        self.latency_ms = self.curve.ms[:max_batch + 1].tolist()
+        self.times: list[float] = []
+        self.phases: list[int] = []
+        self.head = 0
         self.gpu_free = 0.0
-        # per-batch columns in dispatch order, plus the batched queries'
-        # arrival times/phases flattened in queue-pop order — everything
-        # the report fold (and the telemetry BatchBlock) needs
+        self.due = math.inf
+        self.size = 0
         self.batch_starts: list[float] = []
         self.batch_exec: list[float] = []
         self.batch_sizes: list[int] = []
-        self.member_times: list[float] = []
-        self.member_phases: list[int] = []
 
     # -- event mechanics ------------------------------------------------
-    def _next_dispatch_at(self) -> float:
-        """When the oldest waiting batch will dispatch (queue non-empty)."""
-        policy = self.spec.batching
-        if len(self.queue) >= policy.max_batch:
-            # full batch: goes as soon as it filled and the GPU is free
-            return max(self.queue[policy.max_batch - 1][0], self.gpu_free)
-        return max(self.queue[0][0] + policy.timeout_ms / 1e3, self.gpu_free)
+    def enqueue(self, arrival: float, phase: int = 0) -> None:
+        self.times.append(arrival)
+        self.phases.append(phase)
+        self._decide()
+
+    def _decide(self) -> None:
+        """Re-decide the pending batch off the current queue."""
+        if self.head < len(self.times):
+            self.due, self.size = next_batch(
+                self.spec.batching, self.times, self.head, self.gpu_free,
+                self.curve,
+            )
+        else:
+            self.due = math.inf
 
     def advance(self, now: float) -> None:
-        """Dispatch every batch whose dispatch time is <= ``now``."""
-        while self.queue:
-            at = self._next_dispatch_at()
-            if at > now:
-                break
-            size = min(len(self.queue), self.spec.batching.max_batch)
-            batch = [self.queue.popleft() for _ in range(size)]
-            exec_s = self.latency_ms[size] / 1e3
-            self.gpu_free = at + exec_s
-            self.batch_starts.append(float(at))
+        """Commit every pending batch due strictly before ``now``: no
+        arrival at ``now`` or later can join it any more."""
+        while self.due < now:
+            exec_s = self.latency_ms[self.size] / 1e3
+            self.gpu_free = self.due + exec_s
+            self.batch_starts.append(self.due)
             self.batch_exec.append(exec_s)
-            self.batch_sizes.append(size)
-            self.member_times.extend(a for a, _ in batch)
-            self.member_phases.extend(p for _, p in batch)
+            self.batch_sizes.append(self.size)
+            self.head += self.size
+            self._decide()
 
     def to_block(self, phases: tuple[str, ...] = ()) -> BatchBlock:
         """This replica's served batches as a telemetry column block."""
@@ -97,17 +102,14 @@ class _ReplicaState:
             exec_s=np.asarray(self.batch_exec, dtype=float),
             sizes=np.asarray(self.batch_sizes, dtype=np.int64),
             replica=self.spec.name,
-            member_times=np.asarray(self.member_times, dtype=float),
-            member_phases=np.asarray(self.member_phases, dtype=np.int64),
+            member_times=np.asarray(self.times, dtype=float),
+            member_phases=np.asarray(self.phases, dtype=np.int64),
             phases=phases,
         )
 
-    def enqueue(self, arrival: float, phase: int = 0) -> None:
-        self.queue.append((arrival, phase))
-
     # -- routing metrics ------------------------------------------------
     def queue_len(self) -> int:
-        return len(self.queue)
+        return len(self.times) - self.head
 
     def backlog_s(self, now: float) -> float:
         """Seconds of already-committed GPU work still ahead of ``now``."""
@@ -261,7 +263,7 @@ def _route_stream(
     *,
     policy: str | RoutingPolicy,
     seed: int,
-) -> tuple[list[_ReplicaState], RoutingPolicy, float]:
+) -> tuple[list[_ReplicaState], RoutingPolicy]:
     """Route a time-sorted arrival stream and drain every replica; each
     replica's curve is resolved to a table once, at entry."""
     curves = resolve_latency_models(fleet, latency_models)
@@ -275,54 +277,14 @@ def _route_stream(
     # must not replay the bits that produced the inter-arrival gaps
     rng = np.random.default_rng([seed, 0x617])
 
-    for arrival, phase in zip(times, phase_ids):
-        now = float(arrival)
+    for now, phase in zip(times.tolist(), phase_ids.tolist()):
         for state in states:
-            state.advance(now)
-        states[router.select(states, now, rng)].enqueue(now, int(phase))
+            if state.due < now:
+                state.advance(now)
+        states[router.select(states, now, rng)].enqueue(now, phase)
     for state in states:
-        state.advance(float("inf"))
-    horizon = max(
-        float(times[-1]), max(s.gpu_free for s in states)
-    )
-    return states, router, horizon
-
-
-def _simulate_fleet_run(
-    fleet: FleetSpec,
-    latency_models: Mapping[str, LatencyModel],
-    *,
-    qps: float,
-    duration_s: float = 10.0,
-    policy: str | RoutingPolicy = "jsq",
-    seed: int = 0,
-) -> tuple[FleetReport, FleetRun]:
-    """Route the Poisson stream; package (report, run record)."""
-    if qps <= 0:
-        raise ValueError("qps must be positive")
-    rng = np.random.default_rng(seed)
-    n = max(1, int(qps * duration_s))
-    arrivals = np.cumsum(rng.exponential(1.0 / qps, size=n))
-    phase_ids = np.zeros(n, dtype=np.int64)
-    states, router, _horizon = _route_stream(
-        fleet, latency_models, arrivals, phase_ids,
-        policy=policy, seed=seed,
-    )
-    run = FleetRun(
-        meta={
-            "kind": "fleet",
-            "fleet": fleet.name,
-            "policy": router.name,
-            "qps": qps,
-            "seed": seed,
-            "cost_units": float(fleet.cost_units),
-        },
-        arrivals=ArrivalBlock(
-            times=arrivals, phase_ids=phase_ids, phases=("all",)
-        ),
-        replicas=[s.to_block(("all",)) for s in states],
-    )
-    return fold_fleet_report(run), run
+        state.advance(math.inf)
+    return states, router
 
 
 def simulate_fleet(
@@ -345,10 +307,27 @@ def simulate_fleet(
     block + one batch block per replica) goes to ``sink``, falling back
     to the ambient default.
     """
-    report, run = _simulate_fleet_run(
-        fleet, latency_models, qps=qps, duration_s=duration_s,
+    arrivals = poisson_arrivals(qps, duration_s, seed)
+    phase_ids = np.zeros(len(arrivals), dtype=np.int64)
+    states, router = _route_stream(
+        fleet, latency_models, arrivals, phase_ids,
         policy=policy, seed=seed,
     )
+    run = FleetRun(
+        meta={
+            "kind": "fleet",
+            "fleet": fleet.name,
+            "policy": router.name,
+            "qps": qps,
+            "seed": seed,
+            "cost_units": float(fleet.cost_units),
+        },
+        arrivals=ArrivalBlock(
+            times=arrivals, phase_ids=phase_ids, phases=("all",)
+        ),
+        replicas=[s.to_block(("all",)) for s in states],
+    )
+    report = fold_fleet_report(run)
     emit_run(sink, run)
     return report
 
@@ -365,12 +344,8 @@ def _simulate_fleet_stream_run(
     tenant: str | None = None,
 ) -> tuple[FleetReport, FleetRun]:
     """Route one scenario stream; package (report, run record)."""
-    times = np.asarray(stream.times, dtype=float)
-    if len(times) == 0:
-        raise ValueError(f"arrival stream {stream.name!r} is empty")
-    check_arrivals(times, stream.name)
-    phase_ids = np.asarray(stream.phase_ids)
-    states, router, _horizon = _route_stream(
+    times, phase_ids = check_stream(stream)
+    states, router = _route_stream(
         fleet, latency_models, times, phase_ids, policy=policy, seed=seed,
     )
     phases = tuple(stream.phases)
@@ -465,34 +440,6 @@ def tenant_fleet(
     return fleet if replicas is None else subfleet(fleet, replicas)
 
 
-def _simulate_fleet_tenant_stream_runs(
-    fleet: FleetSpec,
-    latency_models: Mapping[str, Mapping[str, LatencyModel]],
-    streams: Mapping[str, object],
-    *,
-    assignments: Mapping[str, Sequence[str]] | None = None,
-    policy: str | RoutingPolicy = "jsq",
-    sla_ms: Mapping[str, float | None] | float | None = None,
-    seed: int = 0,
-) -> tuple[dict[str, FleetReport], dict[str, FleetRun]]:
-    """Per-tenant routed serves returning (reports, runs) by tenant."""
-    missing = sorted(set(streams) - set(latency_models))
-    if missing:
-        raise KeyError(f"no latency models for tenants {missing}")
-    reports: dict[str, FleetReport] = {}
-    runs: dict[str, FleetRun] = {}
-    for name in streams:
-        sla = (
-            sla_ms.get(name) if isinstance(sla_ms, Mapping) else sla_ms
-        )
-        reports[name], runs[name] = _simulate_fleet_stream_run(
-            tenant_fleet(fleet, assignments, name),
-            latency_models[name], streams[name],
-            policy=policy, sla_ms=sla, seed=seed, tenant=name,
-        )
-    return reports, runs
-
-
 def simulate_fleet_tenant_streams(
     fleet: FleetSpec,
     latency_models: Mapping[str, Mapping[str, LatencyModel]],
@@ -519,10 +466,18 @@ def simulate_fleet_tenant_streams(
     is emitted to ``sink`` (or the ambient default) with
     ``meta["tenant"]`` set.
     """
-    reports, runs = _simulate_fleet_tenant_stream_runs(
-        fleet, latency_models, streams, assignments=assignments,
-        policy=policy, sla_ms=sla_ms, seed=seed,
-    )
-    for run in runs.values():
+    missing = sorted(set(streams) - set(latency_models))
+    if missing:
+        raise KeyError(f"no latency models for tenants {missing}")
+    reports: dict[str, FleetReport] = {}
+    for name in streams:
+        sla = (
+            sla_ms.get(name) if isinstance(sla_ms, Mapping) else sla_ms
+        )
+        reports[name], run = _simulate_fleet_stream_run(
+            tenant_fleet(fleet, assignments, name),
+            latency_models[name], streams[name],
+            policy=policy, sla_ms=sla, seed=seed, tenant=name,
+        )
         emit_run(sink, run)
     return reports

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from repro.config.gpu import A100_SXM4_80GB, H100_NVL, GpuSpec
 from repro.core.schemes import BASE, Scheme
-from repro.core.serving import BatchingPolicy
+from repro.core.serving import BatchingPolicy, ContinuousBatching
 
 #: Relative accelerator cost, normalized to the A100 (approximate public
 #: cloud on-demand price ratio).  Unknown GPUs default to 1.0.
@@ -33,17 +33,13 @@ class ReplicaSpec:
     name: str
     gpu: GpuSpec
     scheme: Scheme = BASE
-    batching: BatchingPolicy = field(default_factory=BatchingPolicy)
+    batching: BatchingPolicy | ContinuousBatching = field(
+        default_factory=BatchingPolicy
+    )
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("replica name must be non-empty")
-        if not isinstance(self.batching, BatchingPolicy):
-            raise ValueError(
-                f"replica {self.name!r}: batching must be a BatchingPolicy, "
-                f"got {type(self.batching).__name__}; the fleet router "
-                "implements size-or-timeout batching only"
-            )
 
     @property
     def cost_units(self) -> float:
@@ -98,7 +94,7 @@ class FleetSpec:
         *,
         name: str | None = None,
         scheme: Scheme = BASE,
-        batching: BatchingPolicy | None = None,
+        batching: BatchingPolicy | ContinuousBatching | None = None,
     ) -> "FleetSpec":
         """``n_replicas`` identical replicas of one GPU type."""
         return cls.mixed(
@@ -113,7 +109,7 @@ class FleetSpec:
         *,
         name: str | None = None,
         scheme: Scheme = BASE,
-        batching: BatchingPolicy | None = None,
+        batching: BatchingPolicy | ContinuousBatching | None = None,
     ) -> "FleetSpec":
         """A heterogeneous fleet, e.g. ``{A100: 2, H100: 2}``."""
         pairs = list(counts.items()) if isinstance(counts, dict) else counts

@@ -42,6 +42,7 @@ from repro.telemetry.events import (
 )
 from repro.telemetry.sinks import (
     NULL_SINK,
+    CaptureSink,
     ConsoleSink,
     MultiSink,
     NullSink,
@@ -67,6 +68,7 @@ __all__ = [
     "CacheEvict",
     "CacheHit",
     "CacheMiss",
+    "CaptureSink",
     "Complete",
     "ConsoleSink",
     "Dispatch",

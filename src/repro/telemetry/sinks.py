@@ -21,6 +21,8 @@ builder).
   line per event/block, and a footer carrying the record count so a
   truncated file is detectable at replay.
 * :class:`MultiSink` — fan-out to several sinks (recorder + stats).
+* :class:`CaptureSink` — keeps the run records themselves, for callers
+  that build on the runs of a serving call they make.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ class Sink:
 
     def emit(self, event: Event) -> None:
         """Receive one scalar typed event (no-op by default)."""
+
+    def emit_run(self, run) -> None:
+        """Receive one whole run record; default streams its events and
+        blocks to :meth:`emit` / :meth:`emit_block`, in order."""
+        run.emit_to(self)
 
     def emit_block(self, block: ArrivalBlock | BatchBlock) -> None:
         """Receive one column block; default materializes its events.
@@ -110,6 +117,17 @@ class MultiSink(Sink):
     def close(self) -> None:
         for sink in self.sinks:
             sink.close()
+
+
+class CaptureSink(Sink):
+    """Keeps every run record handed to it, in order, as ``runs``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.runs: list = []
+
+    def emit_run(self, run) -> None:
+        self.runs.append(run)
 
 
 class StatsSink(Sink):
@@ -411,7 +429,7 @@ def emit_run(sink: Sink | None, run) -> None:
     the resolved sink is disabled — the emitters' one-liner."""
     resolved = resolve_sink(sink)
     if resolved.enabled:
-        run.emit_to(resolved)
+        resolved.emit_run(run)
 
 
 def emit_event(sink: Sink | None, event: Event) -> None:
@@ -425,6 +443,7 @@ __all__ = [
     "Sink",
     "NullSink",
     "MultiSink",
+    "CaptureSink",
     "StatsSink",
     "ConsoleSink",
     "RecorderSink",

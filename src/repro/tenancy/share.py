@@ -43,23 +43,23 @@ from repro.core.serving import (
     StreamReport,
     _default_policy,
     _resolve_phase_models,
-    _serve_tenant_stream_runs,
     fold_stream_report,
+    serve_tenant_streams,
 )
 from repro.datasets.spec import HOTNESS_PRESETS
 from repro.dlrm.timing import KERNEL_LAUNCH_US
 from repro.fleet.capacity import linear_latency_model
 from repro.fleet.report import FleetReport, fold_fleet_report
 from repro.fleet.router import (
-    _simulate_fleet_tenant_stream_runs,
     resolve_latency_models,
+    simulate_fleet_tenant_streams,
     tenant_fleet,
 )
 from repro.fleet.topology import FleetSpec
 from repro.gpusim.memo import KernelMemo
 from repro.memstore.store import HostLink
 from repro.telemetry.events import GroupRun
-from repro.telemetry.sinks import Sink, emit_run
+from repro.telemetry.sinks import CaptureSink, Sink, emit_run
 from repro.tenancy.zoo import TenantSpec, ZooSpec
 from repro.traffic.scenario import ScenarioTrace
 
@@ -316,6 +316,14 @@ def _aggregate(reports: Mapping[str, object]) -> tuple[float, float]:
     return goodput, attainment
 
 
+def _tenant_runs(serve, *args, **kwargs) -> tuple[dict, dict]:
+    """``serve(*args, **kwargs)``'s per-tenant reports, plus the run
+    records it emitted, by tenant."""
+    capture = CaptureSink()
+    reports = serve(*args, sink=capture, **kwargs)
+    return reports, {run.meta["tenant"]: run for run in capture.runs}
+
+
 def fold_zoo_report(run: GroupRun) -> ZooReport:
     """Pure fold: a recorded zoo group run into its :class:`ZooReport`.
 
@@ -399,8 +407,8 @@ def simulate_zoo_serving(
         for name in streams
     }
 
-    solo, solo_runs = _serve_tenant_stream_runs(
-        curves, streams,
+    solo, solo_runs = _tenant_runs(
+        serve_tenant_streams, curves, streams,
         policies=policies, sla_ms=slas,
         scheme_names=scheme_names,
         phase_hit_rates=phase_hit_rates,
@@ -419,8 +427,8 @@ def simulate_zoo_serving(
             name: [curve.scaled(factors[name]) for curve in curves[name]]
             for name in zoo.tenant_names
         }
-        _, runs = _serve_tenant_stream_runs(
-            contended, streams,
+        _, runs = _tenant_runs(
+            serve_tenant_streams, contended, streams,
             policies=policies, sla_ms=slas,
             scheme_names=scheme_names,
             phase_hit_rates=phase_hit_rates,
@@ -528,8 +536,8 @@ def simulate_zoo_fleet(
         for name in zoo.tenant_names
     }
 
-    solo, solo_runs = _simulate_fleet_tenant_stream_runs(
-        fleet, curves, streams,
+    solo, solo_runs = _tenant_runs(
+        simulate_fleet_tenant_streams, fleet, curves, streams,
         assignments=assignments, policy=policy,
         sla_ms=slas, seed=seed,
     )
@@ -569,8 +577,9 @@ def simulate_zoo_fleet(
             }
             for name in zoo.tenant_names
         }
-        _, runs = _simulate_fleet_tenant_stream_runs(
-            fleet, contended_models, streams,
+        _, runs = _tenant_runs(
+            simulate_fleet_tenant_streams, fleet, contended_models,
+            streams,
             assignments=assignments, policy=policy,
             sla_ms=slas, seed=seed,
         )

@@ -7,7 +7,7 @@ layer must never lose, whatever the workload:
   GPU, no instance is dropped or duplicated;
 * routing — conservation: every request that enters the router is
   served exactly once (after the final drain nothing is left in
-  flight), whatever the policy;
+  flight), whatever the routing policy and the replicas' batcher;
 * JSQ — never picks a replica whose queue is strictly longer than
   another's.
 
@@ -18,7 +18,7 @@ the space, from a fixed seed).
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.serving import BatchingPolicy
+from repro.core.serving import BatchingPolicy, ContinuousBatching
 from repro.fleet.placement import hetero_lpt_shard
 from repro.fleet.router import (
     JoinShortestQueuePolicy,
@@ -80,7 +80,15 @@ class _Stream:
         self.phase_durations = (self.duration_s,)
 
 
-def _fleet(n_replicas, max_batch, timeout_ms):
+def _batching(batcher, max_batch, timeout_ms):
+    if batcher == "size-or-timeout":
+        return BatchingPolicy(max_batch=max_batch, timeout_ms=timeout_ms)
+    if batcher == "continuous":
+        return ContinuousBatching(max_batch=max_batch)
+    return ContinuousBatching(max_batch=max_batch, sla_ms=10.0)
+
+
+def _fleet(n_replicas, max_batch, timeout_ms, batcher="size-or-timeout"):
     gpus = [A100_SXM4_80GB, H100_NVL]
     return FleetSpec(
         name=f"prop{n_replicas}",
@@ -88,9 +96,7 @@ def _fleet(n_replicas, max_batch, timeout_ms):
             ReplicaSpec(
                 name=f"r{i}",
                 gpu=gpus[i % 2],
-                batching=BatchingPolicy(
-                    max_batch=max_batch, timeout_ms=timeout_ms
-                ),
+                batching=_batching(batcher, max_batch, timeout_ms),
             )
             for i in range(n_replicas)
         ),
@@ -115,13 +121,16 @@ _MODELS = {
         ["round-robin", "jsq", "power-of-two", "least-latency"]
     ),
     seed=st.integers(0, 2**31 - 1),
+    batcher=st.sampled_from(
+        ["size-or-timeout", "continuous", "continuous-sla"]
+    ),
 )
 @settings(**SETTINGS)
 def test_router_conserves_requests(
-    times, n_replicas, max_batch, timeout_ms, policy, seed
+    times, n_replicas, max_batch, timeout_ms, policy, seed, batcher
 ):
     stream = _Stream(times)
-    fleet = _fleet(n_replicas, max_batch, timeout_ms)
+    fleet = _fleet(n_replicas, max_batch, timeout_ms, batcher)
     report = simulate_fleet_stream(
         fleet, _MODELS, stream, policy=policy, seed=seed,
     )

@@ -7,7 +7,7 @@ import pytest
 
 from repro.config.gpu import A100_SXM4_80GB, H100_NVL
 from repro.core.curve import LatencyCurve
-from repro.core.serving import BatchingPolicy, simulate_serving
+from repro.core.serving import BatchingPolicy, serve_stream, simulate_serving
 from repro.fleet.router import (
     ROUTING_POLICIES,
     JoinShortestQueuePolicy,
@@ -152,14 +152,71 @@ class TestSimulateFleet:
             simulate_fleet(homo_fleet(), MODELS, qps=0)
 
 
+class _Stream:
+    """A ScenarioTrace-shaped stream with none of its own checks."""
+
+    def __init__(self, name, phase_ids, duration_s=1.0):
+        self.name = name
+        self.times = np.linspace(0.0, 0.5, 20)
+        self.phase_ids = np.asarray(phase_ids)
+        self.phases = ("a", "b")
+        self.phase_durations = (0.5, 0.5)
+        self.duration_s = duration_s
+
+
+def _serve(entry, stream):
+    if entry == "serve_stream":
+        return serve_stream(a100_model, stream, policy=POLICY)
+    return simulate_fleet_stream(homo_fleet(), MODELS, stream)
+
+
+#: Both stream entry points validate through one check.
+ENTRY_POINTS = ("serve_stream", "simulate_fleet_stream")
+
+
 class TestBoundaryValidation:
-    """Bad inputs fail at the fleet entry points instead of turning into
-    wrong numbers."""
+    """Bad inputs fail at the fleet entry points (and, through the one
+    stream check, at ``serve_stream``) instead of turning into wrong
+    numbers."""
 
     def _stream(self):
         return generate_arrivals(
             StationarySpec(base_qps=1000, duration_s=1.0), seed=0
         )
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_zero_duration_raises(self, entry):
+        stream = _Stream("instant", [0] * 20, duration_s=0.0)
+        with pytest.raises(
+            ValueError, match=r"'instant' needs a positive duration_s"
+        ):
+            _serve(entry, stream)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_negative_phase_id_raises(self, entry):
+        ids = [0] * 10 + [1] * 10
+        ids[4] = -1
+        with pytest.raises(
+            ValueError, match=r"'minus': phase id at index 4 is -1"
+        ):
+            _serve(entry, _Stream("minus", ids))
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_phase_id_past_the_end_raises(self, entry):
+        ids = [0] * 10 + [1] * 10
+        ids[13] = 2
+        with pytest.raises(
+            ValueError,
+            match=r"'past': phase id at index 13 is 2, outside its 2 phases",
+        ):
+            _serve(entry, _Stream("past", ids))
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_phase_ids_not_aligned_raise(self, entry):
+        with pytest.raises(
+            ValueError, match=r"'short' has 19 phase ids for 20 arrivals"
+        ):
+            _serve(entry, _Stream("short", [0] * 19))
 
     def test_unsorted_arrivals_raise(self):
         stream = self._stream()

@@ -5,6 +5,7 @@ import pytest
 from repro.config.gpu import A100_SXM4_80GB, H100_NVL
 from repro.core.schemes import OPTMT
 from repro.core.serving import BatchingPolicy, ContinuousBatching
+from repro.fleet.router import simulate_fleet
 from repro.fleet.topology import GPU_COST_UNITS, FleetSpec, ReplicaSpec
 
 
@@ -24,16 +25,20 @@ class TestReplicaSpec:
         with pytest.raises(ValueError):
             ReplicaSpec(name="", gpu=A100_SXM4_80GB)
 
-    def test_continuous_batching_rejected_with_clear_error(self):
-        """The router batches size-or-timeout only; a continuous batcher
-        must fail at construction, not mid-run with AttributeError."""
-        with pytest.raises(
-            ValueError, match=r"replica 'r0'.*size-or-timeout batching only"
-        ):
-            ReplicaSpec(name="r0", gpu=A100_SXM4_80GB,
-                        batching=ContinuousBatching(sla_ms=20.0))
-        with pytest.raises(ValueError, match=r"replica 'H100-NVL/0'"):
-            FleetSpec.homogeneous(H100_NVL, 2, batching=ContinuousBatching())
+    def test_continuous_batching_replicas_serve(self):
+        """Replicas take either batcher: a continuous (and SLA-adaptive)
+        fleet routes and serves every query."""
+        for batching in (ContinuousBatching(max_batch=64),
+                         ContinuousBatching(max_batch=64, sla_ms=20.0)):
+            fleet = FleetSpec.homogeneous(H100_NVL, 2, batching=batching)
+            assert all(r.batching is batching for r in fleet.replicas)
+            report = simulate_fleet(
+                fleet, {H100_NVL.name: lambda b: 2.0 + 0.05 * b},
+                qps=2000, duration_s=0.5, policy="least-latency",
+            )
+            assert report.n_queries == 1000
+            assert sum(r.n_queries for r in report.replica_reports) == 1000
+            assert report.p50_ms >= 2.05
 
 
 class TestFleetSpec:
