@@ -4,7 +4,9 @@ The single-GPU loop and every fleet replica decide their batches with
 one rule (:func:`repro.core.serving.next_batch`).  A round-robin fleet
 of one replica must therefore reproduce ``serve_stream`` bit for bit —
 the same batch columns, hence the same tails and goodput — under every
-batcher and on every scenario shape.  Two hand-built streams pin the
+batcher and on every scenario shape.  Round-robin hands the whole
+stream to one replica up front; jsq routes it arrival by arrival, so
+both the pre-split and the event-driven replica paths are pinned.  Two hand-built streams pin the
 tie rule: in ``tie`` an arrival lands exactly when the oldest query's
 timeout expires and joins that batch on both paths; ``grid`` puts
 arrivals on a coarse grid, so duplicate times and ties are everywhere.
@@ -67,9 +69,20 @@ def _stream(shape):
     )
 
 
-@pytest.mark.parametrize("policy", POLICIES.values(), ids=POLICIES)
-@pytest.mark.parametrize("shape", [*SCENARIO_PROFILES, *HAND_STREAMS])
-def test_one_replica_fleet_is_serve_stream(shape, policy):
+def _cases():
+    """(shape, batcher, routing); round-robin cases keep the plain
+    ``shape-batcher`` id."""
+    for shape in [*SCENARIO_PROFILES, *HAND_STREAMS]:
+        for name, policy in POLICIES.items():
+            for routing in ("round-robin", "jsq"):
+                suffix = "" if routing == "round-robin" else f"-{routing}"
+                yield pytest.param(
+                    shape, policy, routing, id=f"{shape}-{name}{suffix}",
+                )
+
+
+@pytest.mark.parametrize("shape, policy, routing", _cases())
+def test_one_replica_fleet_is_serve_stream(shape, policy, routing):
     stream = _stream(shape)
     solo_sink, fleet_sink = CaptureSink(), CaptureSink()
     solo = serve_stream(
@@ -78,7 +91,7 @@ def test_one_replica_fleet_is_serve_stream(shape, policy):
     routed = simulate_fleet_stream(
         FleetSpec.homogeneous(A100_SXM4_80GB, 1, batching=policy),
         {A100_SXM4_80GB.name: model}, stream,
-        policy="round-robin", sla_ms=SLA_MS, sink=fleet_sink,
+        policy=routing, sla_ms=SLA_MS, sink=fleet_sink,
     )
     (solo_run,), (fleet_run,) = solo_sink.runs, fleet_sink.runs
     (replica,) = fleet_run.replicas

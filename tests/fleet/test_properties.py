@@ -109,11 +109,15 @@ _MODELS = {
 }
 
 
+#: arrival lists for routed streams (sorted by :class:`_Stream`)
+arrival_times = st.lists(
+    st.floats(0.0, 30.0, allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=400,
+)
+
+
 @given(
-    times=st.lists(
-        st.floats(0.0, 30.0, allow_nan=False, allow_infinity=False),
-        min_size=1, max_size=400,
-    ),
+    times=arrival_times,
     n_replicas=st.integers(1, 4),
     max_batch=st.integers(1, 64),
     timeout_ms=st.floats(0.0, 20.0),
