@@ -40,6 +40,7 @@ from repro.fleet.router import (
     LeastLatencyPolicy,
     PowerOfTwoPolicy,
     RoundRobinPolicy,
+    RouterState,
     RoutingPolicy,
     resolve_policy,
     simulate_fleet,
@@ -65,6 +66,7 @@ __all__ = [
     "PowerOfTwoPolicy",
     "ReplicaSpec",
     "RoundRobinPolicy",
+    "RouterState",
     "RoutingPolicy",
     "TieredPlacement",
     "TieredShard",

@@ -10,22 +10,32 @@ setting the paper's SLA framing targets (DeepRecSys-style serving
 studies).
 
 Routing policies are pluggable.  ``round-robin`` is the oblivious
-baseline; ``jsq`` (join-shortest-queue) and ``power-of-two`` use queue
-state; ``least-latency`` additionally weighs each replica's speed, which
-is what makes heterogeneous fleets (A100 next to H100) behave: an
-oblivious router feeds the slow replicas the same load as the fast ones
-and their tail blows up first.
+baseline: it assigns every arrival up front, and each replica's share
+is served by the single-GPU loop itself.  ``jsq`` (join-shortest-queue)
+and ``power-of-two`` use queue state; ``least-latency`` additionally
+weighs each replica's speed, which is what makes heterogeneous fleets
+(A100 next to H100) behave: an oblivious router feeds the slow replicas
+the same load as the fast ones and their tail blows up first.  These
+state-aware policies pick arrival by arrival from the router's flat
+per-replica lists (:class:`RouterState`); the router advances a replica
+only when its pending batch is due.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.curve import LatencyCurve, LatencyModel, as_curve
-from repro.core.serving import check_stream, next_batch, poisson_arrivals
+from repro.core.serving import (
+    _serve_arrays,
+    check_stream,
+    next_batch,
+    poisson_arrivals,
+)
 from repro.fleet.report import (
     FleetReport,
     fold_fleet_report,
@@ -35,28 +45,48 @@ from repro.telemetry.events import ArrivalBlock, BatchBlock, FleetRun
 from repro.telemetry.sinks import Sink, emit_run
 
 
+class RouterState:
+    """What state-aware policies choose from: the router's per-replica
+    state as flat lists, indexed like the fleet's replicas.
+
+    ``depth[r]`` is the number of queries waiting at replica ``r``;
+    ``free[r]`` is when its GPU frees from the batches committed so far,
+    so its backlog at ``now`` is ``max(free[r] - now, 0.0)``; ``due[r]``
+    is when its pending batch dispatches (inf while the queue is empty);
+    ``work[r]`` is the GPU seconds predicted to serve its queue plus one
+    more query.  The router keeps them current; policies only read them.
+    """
+
+    __slots__ = ("depth", "free", "due", "work")
+
+    def __init__(self, n_replicas: int) -> None:
+        self.depth = [0] * n_replicas
+        self.free = [0.0] * n_replicas
+        self.due = [math.inf] * n_replicas
+        self.work = [0.0] * n_replicas
+
+
 class _ReplicaState:
-    """One replica under the router: its queue, its GPU clock, its batch
-    columns and the routing metrics.
+    """One replica under the per-arrival router: its queue, its GPU
+    clock, its pending batch decision and its batch columns.
 
     The queue is the routed arrival times (and phase ids) from ``head``
     on; dispatched queries stay in the lists as the batch members.
     ``due``/``size`` cache the pending batch decision (``due`` is inf
-    while the queue is empty).  ``latency_ms`` is the curve as a plain
-    list, which the per-arrival routing metrics read.
+    while the queue is empty).
     """
 
     __slots__ = (
-        "spec", "curve", "latency_ms", "times", "phases", "head",
-        "gpu_free", "due", "size",
+        "spec", "batching", "curve", "latency_ms", "times", "phases",
+        "head", "gpu_free", "due", "size",
         "batch_starts", "batch_exec", "batch_sizes",
     )
 
-    def __init__(self, spec: ReplicaSpec, latency_ms: LatencyModel) -> None:
+    def __init__(self, spec: ReplicaSpec, curve: LatencyCurve) -> None:
         self.spec = spec
-        max_batch = spec.batching.max_batch
-        self.curve = as_curve(latency_ms, max_batch)
-        self.latency_ms = self.curve.ms[:max_batch + 1].tolist()
+        self.batching = spec.batching
+        self.curve = curve
+        self.latency_ms = curve.ms[:spec.batching.max_batch + 1].tolist()
         self.times: list[float] = []
         self.phases: list[int] = []
         self.head = 0
@@ -67,21 +97,13 @@ class _ReplicaState:
         self.batch_exec: list[float] = []
         self.batch_sizes: list[int] = []
 
-    # -- event mechanics ------------------------------------------------
-    def enqueue(self, arrival: float, phase: int = 0) -> None:
+    def enqueue(self, arrival: float, phase: int) -> None:
+        """Queue one arrival and re-decide the pending batch."""
         self.times.append(arrival)
         self.phases.append(phase)
-        self._decide()
-
-    def _decide(self) -> None:
-        """Re-decide the pending batch off the current queue."""
-        if self.head < len(self.times):
-            self.due, self.size = next_batch(
-                self.spec.batching, self.times, self.head, self.gpu_free,
-                self.curve,
-            )
-        else:
-            self.due = math.inf
+        self.due, self.size = next_batch(
+            self.batching, self.times, self.head, self.gpu_free, self.curve,
+        )
 
     def advance(self, now: float) -> None:
         """Commit every pending batch due strictly before ``now``: no
@@ -93,9 +115,30 @@ class _ReplicaState:
             self.batch_exec.append(exec_s)
             self.batch_sizes.append(self.size)
             self.head += self.size
-            self._decide()
+            if self.head < len(self.times):
+                self.due, self.size = next_batch(
+                    self.batching, self.times, self.head, self.gpu_free,
+                    self.curve,
+                )
+            else:
+                self.due = math.inf
 
-    def to_block(self, phases: tuple[str, ...] = ()) -> BatchBlock:
+    def work_s(self, depth: int) -> float:
+        """Predicted GPU seconds to serve ``depth`` waiting queries plus
+        one more.
+
+        Counts every batch the queue implies, not just the next one — a
+        deeply backed-up replica must not look cheap just because the
+        latency curve saturates at one max-batch execution.
+        """
+        max_batch = self.batching.max_batch
+        full_batches, remainder = divmod(depth + 1, max_batch)
+        work_ms = full_batches * self.latency_ms[max_batch]
+        if remainder:
+            work_ms += self.latency_ms[remainder]
+        return work_ms / 1e3
+
+    def to_block(self, phases: tuple[str, ...]) -> BatchBlock:
         """This replica's served batches as a telemetry column block."""
         return BatchBlock(
             starts=np.asarray(self.batch_starts, dtype=float),
@@ -107,44 +150,34 @@ class _ReplicaState:
             phases=phases,
         )
 
-    # -- routing metrics ------------------------------------------------
-    def queue_len(self) -> int:
-        return len(self.times) - self.head
-
-    def backlog_s(self, now: float) -> float:
-        """Seconds of already-committed GPU work still ahead of ``now``."""
-        return max(self.gpu_free - now, 0.0)
-
-    def estimated_completion_s(self, now: float) -> float:
-        """Predicted time-in-system for a query routed here at ``now``.
-
-        Counts every batch the queue implies, not just the next one —
-        a deeply backed-up replica must not look cheap just because the
-        latency curve saturates at one max-batch execution.
-        """
-        max_batch = self.spec.batching.max_batch
-        pending = self.queue_len() + 1
-        full_batches, remainder = divmod(pending, max_batch)
-        work_ms = full_batches * self.latency_ms[max_batch]
-        if remainder:
-            work_ms += self.latency_ms[remainder]
-        return self.backlog_s(now) + work_ms / 1e3
-
 
 class RoutingPolicy:
-    """Chooses a replica index for each arriving query."""
+    """Chooses a replica index for each arriving query.
+
+    :meth:`start` opens a run.  An oblivious policy returns every
+    arrival's replica index there, up front, and the router serves each
+    replica's share with the single-GPU loop.  A state-aware policy
+    returns None and is asked :meth:`select` once per arrival, in
+    arrival order, with the router's :class:`RouterState` lists as they
+    stand at that arrival.  Either way, a replica index outside
+    ``0..n_replicas-1`` is rejected with a ``ValueError``.
+    """
 
     name = "policy"
 
-    def reset(self, n_replicas: int) -> None:  # pragma: no cover - default
-        pass
-
-    def select(
+    def start(
         self,
-        replicas: Sequence[_ReplicaState],
-        now: float,
+        n_replicas: int,
+        n_arrivals: int,
         rng: np.random.Generator,
-    ) -> int:
+    ) -> np.ndarray | None:
+        """Open a run of ``n_arrivals`` queries over ``n_replicas``;
+        ``rng`` is the router's own stream.  Returns the up-front
+        assignment, or None to choose per arrival."""
+        return None
+
+    def select(self, state: RouterState, now: float, k: int) -> int:
+        """The replica for arrival ``k``, which arrives at ``now``."""
         raise NotImplementedError
 
 
@@ -153,46 +186,64 @@ class RoundRobinPolicy(RoutingPolicy):
 
     name = "round-robin"
 
-    def reset(self, n_replicas: int) -> None:
-        self._next = 0
-
-    def select(self, replicas, now, rng):
-        index = self._next % len(replicas)
-        self._next += 1
-        return index
+    def start(self, n_replicas, n_arrivals, rng):
+        return np.arange(n_arrivals) % n_replicas
 
 
 class JoinShortestQueuePolicy(RoutingPolicy):
-    """Route to the replica with the fewest waiting queries."""
+    """Route to the replica with the fewest waiting queries; ties go to
+    the smaller backlog, then to the lower index."""
 
     name = "jsq"
 
-    def select(self, replicas, now, rng):
-        return min(
-            range(len(replicas)),
-            key=lambda i: (
-                replicas[i].queue_len(),
-                replicas[i].backlog_s(now),
-                i,
-            ),
-        )
+    def select(self, state, now, k):
+        depth = state.depth
+        shortest = min(depth)
+        best = depth.index(shortest)
+        if depth.count(shortest) > 1:
+            free = state.free
+            backlog = free[best] - now
+            for r in range(best + 1, len(depth)):
+                if backlog <= 0.0:
+                    break  # no backlog: no later replica beats it
+                if depth[r] == shortest and free[r] - now < backlog:
+                    best, backlog = r, free[r] - now
+        return best
 
 
 class PowerOfTwoPolicy(RoutingPolicy):
-    """Sample two random replicas, keep the shorter queue (Mitzenmacher)."""
+    """Sample two random replicas, keep the shorter queue (Mitzenmacher).
+
+    The candidate pairs are drawn once per run, uniform over ordered
+    pairs of distinct replicas: ``first[k]`` and ``second[k]`` are
+    arrival ``k``'s.  Ties in (depth, backlog) go to the first.
+    """
 
     name = "power-of-two"
 
-    def select(self, replicas, now, rng):
-        if len(replicas) == 1:
-            return 0
-        a, b = rng.choice(len(replicas), size=2, replace=False)
-        key = lambda i: (replicas[i].queue_len(), replicas[i].backlog_s(now))
-        return int(a) if key(a) <= key(b) else int(b)
+    def start(self, n_replicas, n_arrivals, rng):
+        if n_replicas == 1:
+            self.first = self.second = [0] * n_arrivals
+            return None
+        first = rng.integers(n_replicas, size=n_arrivals)
+        offset = 1 + rng.integers(n_replicas - 1, size=n_arrivals)
+        self.first = first.tolist()
+        self.second = ((first + offset) % n_replicas).tolist()
+        return None
+
+    def select(self, state, now, k):
+        a, b = self.first[k], self.second[k]
+        depth = state.depth
+        if depth[a] != depth[b]:
+            return a if depth[a] < depth[b] else b
+        free = state.free
+        return a if max(free[a] - now, 0.0) <= max(free[b] - now, 0.0) \
+            else b
 
 
 class LeastLatencyPolicy(RoutingPolicy):
-    """Route to the lowest predicted completion time.
+    """Route to the lowest predicted completion time (backlog plus
+    predicted work); ties go to the lower index.
 
     Unlike JSQ this weighs queue depth by the replica's own speed, so an
     H100 with three waiting queries can still beat an idle A100.
@@ -200,11 +251,12 @@ class LeastLatencyPolicy(RoutingPolicy):
 
     name = "least-latency"
 
-    def select(self, replicas, now, rng):
-        return min(
-            range(len(replicas)),
-            key=lambda i: (replicas[i].estimated_completion_s(now), i),
-        )
+    def select(self, state, now, k):
+        completion = [
+            (free - now if free > now else 0.0) + work
+            for free, work in zip(state.free, state.work)
+        ]
+        return completion.index(min(completion))
 
 
 #: policy name -> zero-argument factory.
@@ -255,36 +307,144 @@ def resolve_latency_models(
     return resolved
 
 
+def _bad_choice(
+    router: RoutingPolicy, k: int, choice, n_replicas: int
+) -> ValueError:
+    return ValueError(
+        f"routing policy {router.name!r} chose replica {choice!r} for "
+        f"arrival {k}; the fleet has {n_replicas} replicas "
+        f"0..{n_replicas - 1}"
+    )
+
+
+def _check_assignment(
+    router: RoutingPolicy, assignment, n_arrivals: int, n_replicas: int
+) -> np.ndarray:
+    """An up-front assignment as an index array: one integer in
+    ``0..n_replicas-1`` per arrival, or a ``ValueError``."""
+    assignment = np.asarray(assignment)
+    if assignment.shape != (n_arrivals,) or \
+            not np.issubdtype(assignment.dtype, np.integer):
+        raise ValueError(
+            f"routing policy {router.name!r} assigned arrivals up front "
+            f"as a {assignment.dtype} array of shape {assignment.shape}; "
+            f"expected {n_arrivals} integer replica indices for a fleet "
+            f"of {n_replicas} replicas"
+        )
+    bad = np.flatnonzero((assignment < 0) | (assignment >= n_replicas))
+    if len(bad):
+        k = int(bad[0])
+        raise _bad_choice(router, k, int(assignment[k]), n_replicas)
+    return assignment
+
+
+def _serve_assigned(
+    fleet: FleetSpec,
+    curves: Mapping[str, LatencyCurve],
+    assignment: np.ndarray,
+    times: np.ndarray,
+    phase_ids: np.ndarray,
+    phases: tuple[str, ...],
+) -> list[BatchBlock]:
+    """Serve each replica's up-front share with the single-GPU loop."""
+    blocks = []
+    for r, spec in enumerate(fleet.replicas):
+        mine = assignment == r
+        member_times = times[mine]
+        member_phases = np.asarray(phase_ids[mine], dtype=np.int64)
+        # one curve per replica, whatever the phase
+        block = _serve_arrays(
+            member_times, member_phases, [curves[spec.name]] * len(phases),
+            spec.batching, phases,
+        )
+        blocks.append(dataclasses.replace(
+            block, replica=spec.name, member_times=member_times,
+            member_phases=member_phases,
+        ))
+    return blocks
+
+
+def _route_each_arrival(
+    fleet: FleetSpec,
+    curves: Mapping[str, LatencyCurve],
+    router: RoutingPolicy,
+    times: np.ndarray,
+    phase_ids: np.ndarray,
+    phases: tuple[str, ...],
+) -> list[BatchBlock]:
+    """Route arrival by arrival, then drain every replica.
+
+    The router keeps each replica's depth, GPU-free time, due time and
+    predicted work in :class:`RouterState` lists and advances replicas
+    only once the earliest due time falls before the arrival at hand.
+    """
+    replicas = [_ReplicaState(s, curves[s.name]) for s in fleet.replicas]
+    n_replicas = len(replicas)
+    state = RouterState(n_replicas)
+    depth, free, due, work = state.depth, state.free, state.due, state.work
+    for r, replica in enumerate(replicas):
+        work[r] = replica.work_s(0)
+    select = router.select
+    next_due = math.inf
+    for k, (now, phase) in enumerate(zip(times.tolist(), phase_ids.tolist())):
+        if next_due < now:
+            for r, replica in enumerate(replicas):
+                if due[r] < now:
+                    replica.advance(now)
+                    free[r] = replica.gpu_free
+                    due[r] = replica.due
+                    depth[r] = len(replica.times) - replica.head
+                    work[r] = replica.work_s(depth[r])
+            next_due = min(due)
+        r = select(state, now, k)
+        if not 0 <= r < n_replicas:
+            raise _bad_choice(router, k, r, n_replicas)
+        replica = replicas[r]
+        replica.enqueue(now, phase)
+        depth[r] += 1
+        work[r] = replica.work_s(depth[r])
+        due[r] = replica.due
+        if replica.due < next_due:
+            next_due = replica.due
+    blocks = []
+    for replica in replicas:
+        replica.advance(math.inf)
+        blocks.append(replica.to_block(phases))
+    return blocks
+
+
 def _route_stream(
     fleet: FleetSpec,
     latency_models: Mapping[str, LatencyModel],
     times: np.ndarray,
     phase_ids: np.ndarray,
+    phases: tuple[str, ...],
     *,
     policy: str | RoutingPolicy,
     seed: int,
-) -> tuple[list[_ReplicaState], RoutingPolicy]:
-    """Route a time-sorted arrival stream and drain every replica; each
+) -> tuple[list[BatchBlock], RoutingPolicy]:
+    """Route a time-sorted arrival stream and drain every replica: one
+    batch block per replica, and the policy that routed.  Each
     replica's curve is resolved to a table once, at entry."""
     curves = resolve_latency_models(fleet, latency_models)
-    states = [
-        _ReplicaState(replica, curves[replica.name])
-        for replica in fleet.replicas
-    ]
     router = resolve_policy(policy)
-    router.reset(len(states))
     # distinct stream from the arrival-generation rng: sampling policies
     # must not replay the bits that produced the inter-arrival gaps
     rng = np.random.default_rng([seed, 0x617])
-
-    for now, phase in zip(times.tolist(), phase_ids.tolist()):
-        for state in states:
-            if state.due < now:
-                state.advance(now)
-        states[router.select(states, now, rng)].enqueue(now, phase)
-    for state in states:
-        state.advance(math.inf)
-    return states, router
+    n_replicas = fleet.n_replicas
+    assignment = router.start(n_replicas, len(times), rng)
+    if assignment is None:
+        blocks = _route_each_arrival(
+            fleet, curves, router, times, phase_ids, phases,
+        )
+    else:
+        assignment = _check_assignment(
+            router, assignment, len(times), n_replicas,
+        )
+        blocks = _serve_assigned(
+            fleet, curves, assignment, times, phase_ids, phases,
+        )
+    return blocks, router
 
 
 def simulate_fleet(
@@ -309,8 +469,8 @@ def simulate_fleet(
     """
     arrivals = poisson_arrivals(qps, duration_s, seed)
     phase_ids = np.zeros(len(arrivals), dtype=np.int64)
-    states, router = _route_stream(
-        fleet, latency_models, arrivals, phase_ids,
+    blocks, router = _route_stream(
+        fleet, latency_models, arrivals, phase_ids, ("all",),
         policy=policy, seed=seed,
     )
     run = FleetRun(
@@ -325,7 +485,7 @@ def simulate_fleet(
         arrivals=ArrivalBlock(
             times=arrivals, phase_ids=phase_ids, phases=("all",)
         ),
-        replicas=[s.to_block(("all",)) for s in states],
+        replicas=blocks,
     )
     report = fold_fleet_report(run)
     emit_run(sink, run)
@@ -345,10 +505,11 @@ def _simulate_fleet_stream_run(
 ) -> tuple[FleetReport, FleetRun]:
     """Route one scenario stream; package (report, run record)."""
     times, phase_ids = check_stream(stream)
-    states, router = _route_stream(
-        fleet, latency_models, times, phase_ids, policy=policy, seed=seed,
-    )
     phases = tuple(stream.phases)
+    blocks, router = _route_stream(
+        fleet, latency_models, times, phase_ids, phases,
+        policy=policy, seed=seed,
+    )
     meta = {
         "kind": "fleet_stream",
         "fleet": fleet.name,
@@ -373,7 +534,7 @@ def _simulate_fleet_stream_run(
             phase_ids=np.asarray(phase_ids, dtype=np.int64),
             phases=phases,
         ),
-        replicas=[s.to_block(phases) for s in states],
+        replicas=blocks,
     )
     return fold_fleet_report(run), run
 

@@ -8,21 +8,28 @@ layer must never lose, whatever the workload:
 * routing — conservation: every request that enters the router is
   served exactly once (after the final drain nothing is left in
   flight), whatever the routing policy and the replicas' batcher;
-* JSQ — never picks a replica whose queue is strictly longer than
-  another's.
+* policies, on the router's flat per-replica lists — JSQ never picks
+  a replica whose queue is strictly longer than another's;
+  power-of-two never picks the strictly longer of its two candidates,
+  and its pairs are distinct replicas, uniform over ordered pairs;
+  least-latency picks the minimum predicted completion, lowest index
+  on ties.
 
 ``derandomize=True`` keeps CI deterministic (hypothesis still explores
 the space, from a fixed seed).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.serving import BatchingPolicy, ContinuousBatching
 from repro.fleet.placement import hetero_lpt_shard
 from repro.fleet.router import (
     JoinShortestQueuePolicy,
-    _ReplicaState,
+    LeastLatencyPolicy,
+    PowerOfTwoPolicy,
+    RouterState,
     simulate_fleet,
     simulate_fleet_stream,
 )
@@ -168,27 +175,132 @@ def test_poisson_router_conserves_requests(qps, duration_s, policy, seed):
 
 
 # ----------------------------------------------------------------------
-# JSQ: never picks a strictly longer queue
+# policies: what each picks from the router's lists
 # ----------------------------------------------------------------------
+def _state(depths, frees, works=None):
+    state = RouterState(len(depths))
+    state.depth[:] = depths
+    state.free[:] = frees
+    if works is not None:
+        state.work[:] = works
+    return state
+
+
+def _backlog(state, r, now):
+    return max(state.free[r] - now, 0.0)
+
+
+#: GPU-free times on a coarse grid around ``now = 1.0``, so equal
+#: backlogs (idle replicas, equal free times) come up often
+_free_times = st.integers(0, 10).map(lambda i: 0.25 * i)
+
+
 @given(
     queue_lens=st.lists(st.integers(0, 50), min_size=1, max_size=8),
     backlogs=st.data(),
 )
 @settings(**SETTINGS)
 def test_jsq_never_picks_strictly_longer_queue(queue_lens, backlogs):
-    states = []
-    for i, qlen in enumerate(queue_lens):
-        state = _ReplicaState(
-            ReplicaSpec(name=f"r{i}", gpu=A100_SXM4_80GB),
-            _MODELS[A100_SXM4_80GB.name],
-        )
-        for k in range(qlen):
-            state.enqueue(0.01 * k)
-        state.gpu_free = backlogs.draw(
+    frees = [
+        backlogs.draw(
             st.floats(0.0, 5.0, allow_nan=False), label=f"gpu_free[{i}]"
         )
-        states.append(state)
+        for i in range(len(queue_lens))
+    ]
+    state = _state(queue_lens, frees)
     policy = JoinShortestQueuePolicy()
-    policy.reset(len(states))
-    chosen = policy.select(states, now=1.0, rng=np.random.default_rng(0))
-    assert states[chosen].queue_len() == min(queue_lens)
+    policy.start(len(queue_lens), 1, np.random.default_rng(0))
+    chosen = policy.select(state, 1.0, 0)
+    assert state.depth[chosen] == min(queue_lens)
+    # ties: the smaller backlog, then the lower index
+    assert (queue_lens[chosen], _backlog(state, chosen, 1.0), chosen) == min(
+        (queue_lens[r], _backlog(state, r, 1.0), r)
+        for r in range(len(queue_lens))
+    )
+
+
+@given(
+    n_replicas=st.integers(1, 8),
+    data=st.data(),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(**SETTINGS)
+def test_power_of_two_never_picks_strictly_longer_candidate(
+    n_replicas, data, seed
+):
+    depths = data.draw(
+        st.lists(st.integers(0, 3), min_size=n_replicas,
+                 max_size=n_replicas), label="depths",
+    )
+    frees = data.draw(
+        st.lists(_free_times, min_size=n_replicas, max_size=n_replicas),
+        label="frees",
+    )
+    state = _state(depths, frees)
+    policy = PowerOfTwoPolicy()
+    n_arrivals = 64
+    assert policy.start(
+        n_replicas, n_arrivals, np.random.default_rng(seed)
+    ) is None
+    for k in range(n_arrivals):
+        a, b = policy.first[k], policy.second[k]
+        chosen = policy.select(state, 1.0, k)
+        assert chosen in (a, b)
+        other = b if chosen == a else a
+        assert depths[chosen] <= depths[other]
+        key = lambda r: (depths[r], _backlog(state, r, 1.0))
+        # ties in (depth, backlog) go to the first candidate
+        assert chosen == (a if key(a) <= key(b) else b)
+
+
+@given(
+    n_replicas=st.integers(1, 8),
+    data=st.data(),
+    now=st.sampled_from([0.0, 1.0, 2.5]),
+)
+@settings(**SETTINGS)
+def test_least_latency_picks_minimum_predicted_completion(
+    n_replicas, data, now
+):
+    frees = data.draw(
+        st.lists(_free_times, min_size=n_replicas, max_size=n_replicas),
+        label="frees",
+    )
+    works = data.draw(
+        st.lists(st.sampled_from([0.004, 0.0055, 0.25, 1.0]),
+                 min_size=n_replicas, max_size=n_replicas),
+        label="works",
+    )
+    state = _state([0] * n_replicas, frees, works)
+    chosen = LeastLatencyPolicy().select(state, now, 0)
+    completion = [
+        _backlog(state, r, now) + works[r] for r in range(n_replicas)
+    ]
+    assert completion[chosen] == min(completion)
+    assert chosen == completion.index(min(completion))
+
+
+#: a pair's count may stray this many binomial standard deviations
+#: from its expectation (fixed in advance; at most 56 pairs per size,
+#: so a false alarm has probability below 1e-4 per run)
+_PAIR_Z = 5.0
+
+
+@pytest.mark.parametrize("n_replicas", [2, 3, 8])
+def test_power_of_two_pairs_are_distinct_and_uniform(n_replicas):
+    n_arrivals = 60_000
+    policy = PowerOfTwoPolicy()
+    policy.start(n_replicas, n_arrivals, np.random.default_rng([7, 0x617]))
+    first = np.asarray(policy.first)
+    second = np.asarray(policy.second)
+    assert len(first) == len(second) == n_arrivals
+    assert np.all((first >= 0) & (first < n_replicas))
+    assert np.all((second >= 0) & (second < n_replicas))
+    assert not np.any(first == second)
+    counts = np.zeros((n_replicas, n_replicas), dtype=np.int64)
+    np.add.at(counts, (first, second), 1)
+    p = 1.0 / (n_replicas * (n_replicas - 1))
+    mean = n_arrivals * p
+    bound = _PAIR_Z * np.sqrt(n_arrivals * p * (1.0 - p))
+    off_diagonal = ~np.eye(n_replicas, dtype=bool)
+    assert np.all(np.abs(counts[off_diagonal] - mean) <= bound), counts

@@ -11,6 +11,7 @@ from repro.core.serving import BatchingPolicy, serve_stream, simulate_serving
 from repro.fleet.router import (
     ROUTING_POLICIES,
     JoinShortestQueuePolicy,
+    RoutingPolicy,
     resolve_policy,
     simulate_fleet,
     simulate_fleet_stream,
@@ -274,3 +275,87 @@ class TestBoundaryValidation:
             ) == simulate_fleet_stream(
                 mixed_fleet(), MODELS, stream, policy=policy,
             )
+
+
+class _PicksPerArrival(RoutingPolicy):
+    """Cycles through the replicas, then returns ``bad`` at arrival 5."""
+
+    name = "picky"
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def select(self, state, now, k):
+        return self.bad if k == 5 else k % len(state.depth)
+
+
+class _AssignsUpFront(RoutingPolicy):
+    """Hands the router a fixed up-front assignment."""
+
+    name = "up-front"
+
+    def __init__(self, assign):
+        self.assign = assign
+
+    def start(self, n_replicas, n_arrivals, rng):
+        return self.assign(n_replicas, n_arrivals)
+
+
+class TestPolicyChoiceBoundary:
+    """The router checks every replica index a policy hands it, per
+    arrival and up front, against a 4-replica fleet."""
+
+    def _route(self, policy):
+        return simulate_fleet(
+            mixed_fleet(), MODELS, qps=1000, duration_s=0.05, policy=policy,
+        )
+
+    def test_negative_choice_raises(self):
+        # an unchecked -1 would index the last replica
+        with pytest.raises(
+            ValueError,
+            match=r"routing policy 'picky' chose replica -1 for arrival 5; "
+                  r"the fleet has 4 replicas 0\.\.3",
+        ):
+            self._route(_PicksPerArrival(-1))
+
+    def test_choice_past_the_end_raises(self):
+        with pytest.raises(
+            ValueError,
+            match=r"routing policy 'picky' chose replica 7 for arrival 5; "
+                  r"the fleet has 4 replicas",
+        ):
+            self._route(_PicksPerArrival(7))
+
+    def test_assignment_of_wrong_length_raises(self):
+        policy = _AssignsUpFront(
+            lambda n_replicas, n: np.arange(n - 1) % n_replicas
+        )
+        with pytest.raises(
+            ValueError,
+            match=r"'up-front' assigned arrivals up front as a int64 array "
+                  r"of shape \(49,\); expected 50 integer replica indices "
+                  r"for a fleet of 4 replicas",
+        ):
+            self._route(policy)
+
+    def test_assignment_entry_out_of_range_raises(self):
+        def assign(n_replicas, n):
+            assignment = np.arange(n) % n_replicas
+            assignment[13] = n_replicas
+            return assignment
+
+        with pytest.raises(
+            ValueError,
+            match=r"'up-front' chose replica 4 for arrival 13; "
+                  r"the fleet has 4 replicas",
+        ):
+            self._route(_AssignsUpFront(assign))
+
+    def test_assignment_of_non_integers_raises(self):
+        # 0.5 matches no replica: the query would silently vanish
+        policy = _AssignsUpFront(lambda n_replicas, n: np.full(n, 0.5))
+        with pytest.raises(
+            ValueError, match=r"as a float64 array of shape \(50,\)",
+        ):
+            self._route(policy)

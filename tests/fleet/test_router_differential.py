@@ -84,8 +84,14 @@ def _route(fleet, models, stream, routing, seed=0):
 
 def assert_matches_reference(fleet, models, stream, routing, seed=0):
     run, policy = _route(fleet, models, stream, routing, seed)
+    # power-of-two: the reference compares the router's own pairs
+    pairs = (
+        list(zip(policy.first, policy.second))
+        if routing == "power-of-two" else None
+    )
     expected = reference_route(
-        fleet, models, stream.times, stream.phase_ids, routing, seed=seed,
+        fleet, models, stream.times, stream.phase_ids, routing,
+        seed=seed, pairs=pairs,
     )
     assert len(run.replicas) == len(expected)
     for block, replica in zip(run.replicas, expected):
