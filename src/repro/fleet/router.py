@@ -77,14 +77,13 @@ class _ReplicaState:
     """
 
     __slots__ = (
-        "spec", "batching", "curve", "latency_ms", "times", "phases",
-        "head", "gpu_free", "due", "size",
+        "spec", "curve", "latency_ms", "times", "phases", "head",
+        "gpu_free", "due", "size",
         "batch_starts", "batch_exec", "batch_sizes",
     )
 
     def __init__(self, spec: ReplicaSpec, curve: LatencyCurve) -> None:
         self.spec = spec
-        self.batching = spec.batching
         self.curve = curve
         self.latency_ms = curve.ms[:spec.batching.max_batch + 1].tolist()
         self.times: list[float] = []
@@ -98,12 +97,19 @@ class _ReplicaState:
         self.batch_sizes: list[int] = []
 
     def enqueue(self, arrival: float, phase: int) -> None:
-        """Queue one arrival and re-decide the pending batch."""
         self.times.append(arrival)
         self.phases.append(phase)
-        self.due, self.size = next_batch(
-            self.batching, self.times, self.head, self.gpu_free, self.curve,
-        )
+        self._decide()
+
+    def _decide(self) -> None:
+        """Re-decide the pending batch off the current queue."""
+        if self.head < len(self.times):
+            self.due, self.size = next_batch(
+                self.spec.batching, self.times, self.head, self.gpu_free,
+                self.curve,
+            )
+        else:
+            self.due = math.inf
 
     def advance(self, now: float) -> None:
         """Commit every pending batch due strictly before ``now``: no
@@ -115,13 +121,7 @@ class _ReplicaState:
             self.batch_exec.append(exec_s)
             self.batch_sizes.append(self.size)
             self.head += self.size
-            if self.head < len(self.times):
-                self.due, self.size = next_batch(
-                    self.batching, self.times, self.head, self.gpu_free,
-                    self.curve,
-                )
-            else:
-                self.due = math.inf
+            self._decide()
 
     def work_s(self, depth: int) -> float:
         """Predicted GPU seconds to serve ``depth`` waiting queries plus
@@ -131,7 +131,7 @@ class _ReplicaState:
         deeply backed-up replica must not look cheap just because the
         latency curve saturates at one max-batch execution.
         """
-        max_batch = self.batching.max_batch
+        max_batch = self.spec.batching.max_batch
         full_batches, remainder = divmod(depth + 1, max_batch)
         work_ms = full_batches * self.latency_ms[max_batch]
         if remainder:

@@ -33,7 +33,11 @@ from repro.traffic.scenario import (
     scenario_profile,
 )
 from tests.fleet.reference_router import reference_route
-from tests.fleet.test_properties import _Stream, arrival_times
+from tests.fleet.test_properties import (
+    _Stream,
+    _fleet as _random_fleet,
+    arrival_times,
+)
 
 _RUN_FULL = os.environ.get("REPRO_FUZZ_FULL", "") == "1"
 SLA_MS = 30.0
@@ -140,37 +144,30 @@ def test_router_matches_reference(shape, batcher, n_replicas, routing):
     )
 
 
-# heavier curves than the scenario grid's: the strategy's arrivals are
-# sparse, and these keep one or two replicas queueing
-_SLOW_MODELS = {
-    A100_SXM4_80GB.name: lambda b: 40.0 + 2.0 * b,
-    H100_NVL.name: lambda b: 25.0 + 1.2 * b,
+# the property suite's random fleets (A100/H100 alternating, 1..8
+# replicas) on its stream strategy; the A100 curve crosses the suite's
+# 10 ms adaptive SLA at 13 queries, inside the drawn batch caps
+_RANDOM_MODELS = {
+    A100_SXM4_80GB.name: lambda b: 4.0 + 0.5 * b,
+    H100_NVL.name: lambda b: 2.5 + 0.3 * b,
 }
-
-
-def _batching(batcher, max_batch, timeout_ms):
-    if batcher == "size-or-timeout":
-        return BatchingPolicy(max_batch=max_batch, timeout_ms=timeout_ms)
-    if batcher == "continuous":
-        return ContinuousBatching(max_batch=max_batch)
-    return ContinuousBatching(max_batch=max_batch, sla_ms=60.0)
-
-
 _cases = dict(
     times=arrival_times,
-    n_replicas=st.sampled_from(sorted(FLEETS)),
+    n_replicas=st.integers(1, 8),
     max_batch=st.integers(1, 16),
-    timeout_ms=st.floats(0.0, 50.0),
+    timeout_ms=st.floats(0.0, 20.0),
     routing=st.sampled_from(ROUTINGS),
-    batcher=st.sampled_from(sorted(BATCHERS)),
+    batcher=st.sampled_from(
+        ["size-or-timeout", "continuous", "continuous-sla"]
+    ),
     seed=st.integers(0, 2**31 - 1),
 )
 
 
 def _check_random_case(times, n_replicas, max_batch, timeout_ms, routing,
                        batcher, seed):
-    fleet = _fleet(n_replicas, _batching(batcher, max_batch, timeout_ms))
-    assert_matches_reference(fleet, _SLOW_MODELS, _Stream(times), routing,
+    fleet = _random_fleet(n_replicas, max_batch, timeout_ms, batcher)
+    assert_matches_reference(fleet, _RANDOM_MODELS, _Stream(times), routing,
                              seed=seed)
 
 
