@@ -252,6 +252,8 @@ class LeastLatencyPolicy(RoutingPolicy):
     name = "least-latency"
 
     def select(self, state, now, k):
+        # the backlog max(free - now, 0.0) as a branch: the same bits,
+        # without a call per replica
         completion = [
             (free - now if free > now else 0.0) + work
             for free, work in zip(state.free, state.work)
@@ -382,8 +384,7 @@ def _route_each_arrival(
     n_replicas = len(replicas)
     state = RouterState(n_replicas)
     depth, free, due, work = state.depth, state.free, state.due, state.work
-    for r, replica in enumerate(replicas):
-        work[r] = replica.work_s(0)
+    work[:] = [replica.work_s(0) for replica in replicas]
     select = router.select
     next_due = math.inf
     for k, (now, phase) in enumerate(zip(times.tolist(), phase_ids.tolist())):

@@ -1,15 +1,16 @@
 """Differential: a 1-replica fleet serves exactly like ``serve_stream``.
 
 The single-GPU loop and every fleet replica decide their batches with
-one rule (:func:`repro.core.serving.next_batch`).  A round-robin fleet
-of one replica must therefore reproduce ``serve_stream`` bit for bit —
-the same batch columns, hence the same tails and goodput — under every
+one rule (:func:`repro.core.serving.next_batch`).  A fleet of one
+replica must therefore reproduce ``serve_stream`` bit for bit — the
+same batch columns, hence the same tails and goodput — under every
 batcher and on every scenario shape.  Round-robin hands the whole
-stream to one replica up front; jsq routes it arrival by arrival, so
-both the pre-split and the event-driven replica paths are pinned.  Two hand-built streams pin the
-tie rule: in ``tie`` an arrival lands exactly when the oldest query's
-timeout expires and joins that batch on both paths; ``grid`` puts
-arrivals on a coarse grid, so duplicate times and ties are everywhere.
+stream to the replica up front; jsq routes it arrival by arrival, so
+both the pre-split and the per-arrival router paths are pinned.  Two
+hand-built streams pin the tie rule: in ``tie`` an arrival lands
+exactly when the oldest query's timeout expires and joins that batch
+on both paths; ``grid`` puts arrivals on a coarse grid, so duplicate
+times and ties are everywhere.
 """
 
 import numpy as np
