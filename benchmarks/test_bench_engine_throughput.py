@@ -5,9 +5,14 @@ their wall-clock into the pytest-benchmark JSON trajectory), this file
 benchmarks the *simulator machinery* on one realistic embedding-bag
 launch:
 
-* ``compiled`` — the trace-compiled fast path (tracked metric:
-  micro-ops/second, so future PRs can't silently regress the engine),
-* ``reference`` — the generator-driven reference executor,
+* ``compiled`` — lowering the launch with ``build_trace`` and running it
+  on ``run_kernel``, the library's one executor (tracked metric:
+  micro-ops/second, so future changes can't silently regress the
+  engine),
+* ``reference`` — the test-only generator-driven executor in
+  ``tests/gpusim/reference_engine.py`` on the same launch: a fixed
+  pure-Python yardstick timed in the same process, interleaved with
+  the compiled runs,
 * ``memo`` — a repeated identical launch answered by the kernel memo.
 
 A *sweep* here means what the harness and the fleet planners actually
@@ -37,7 +42,8 @@ from repro.gpusim.hierarchy import MemoryHierarchy
 from repro.gpusim.memo import KernelMemo
 from repro.kernels import calibration as cal
 from repro.kernels.address_map import STREAMING_RANGE, AddressMap
-from repro.kernels.registry import build_programs, build_trace
+from repro.kernels.registry import build_trace
+from tests.gpusim.reference_engine import build_programs, run_reference
 
 BASELINE_PATH = Path(__file__).parent / "engine_throughput_baseline.json"
 #: Fail when a measured ratio drops >30% below its committed baseline.
@@ -92,7 +98,6 @@ def test_engine_throughput(benchmark):
     )
     compiled = build_trace(trace, build, amap)
     n_ops = compiled.n_ops
-    issued = compiled.exec_form()[1]["issued"]
 
     def run_fast():
         return run_kernel(
@@ -103,17 +108,17 @@ def test_engine_throughput(benchmark):
         )
 
     def run_ref():
-        return run_kernel(
+        return run_reference(
             workload.gpu, _hierarchy(workload, build),
             build_programs(trace, build, amap),
             warps_per_sm=build.warps_per_sm,
             warps_per_block=build.warps_per_block,
-            reference=True,
         )
 
     # the tracked trajectory metric: compiled-path launches
     stats = benchmark.pedantic(run_fast, rounds=3, iterations=1)
     assert stats.n_warps == compiled.n_warps
+    issued = stats.issued_insts
 
     # interleave the rounds so machine-load drift hits both paths alike
     t_fast = float("inf")

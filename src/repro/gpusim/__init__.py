@@ -26,7 +26,7 @@ from repro.gpusim.occupancy import (
     resident_warps,
 )
 from repro.gpusim.profiler import HierarchyStats, KernelProfile
-from repro.gpusim.trace import CompiledTrace, TraceBuilder, compile_programs
+from repro.gpusim.trace import CompiledTrace, TraceBuilder
 
 __all__ = [
     "CompiledTrace",
@@ -41,7 +41,6 @@ __all__ = [
     "SectoredCache",
     "Tlb",
     "TraceBuilder",
-    "compile_programs",
     "default_memo",
     "isa",
     "max_regs_for_warps",

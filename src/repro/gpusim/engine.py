@@ -11,31 +11,22 @@ Models what the paper's characterization hinges on, at warp granularity:
   queued blocks onto SMs as slots free up (waves),
 * warps that are ready but not picked accumulate "not selected" stalls.
 
-The engine consumes warp *programs* — either generators yielding the
-5-tuple micro-ops defined in :mod:`repro.gpusim.isa`, or a
-:class:`~repro.gpusim.trace.CompiledTrace` that lowers the whole launch
-into flat arrays — and a :class:`~repro.gpusim.hierarchy.MemoryHierarchy`
-that provides load completion times.  Scheduling is loose-round-robin:
-the ready warp with the earliest ready time issues first; ties break
-deterministically.
+The engine executes one kernel launch lowered into a
+:class:`~repro.gpusim.trace.CompiledTrace` — flat per-op columns in the
+micro-op encoding of :mod:`repro.gpusim.isa` — against a
+:class:`~repro.gpusim.hierarchy.MemoryHierarchy` that provides load
+completion times.  Its loop indexes the trace columns directly.
+Scheduling is loose-round-robin: the ready warp with the earliest ready
+time issues first; ties break deterministically (first pushed, first
+issued).
 
-Two executors implement identical semantics:
-
-* the **compiled fast path** (default) indexes a ``CompiledTrace``'s
-  preallocated op array; generator programs are lowered once via
-  :func:`~repro.gpusim.trace.compile_programs` before execution,
-* the **reference path** (``reference=True``, or
-  ``REPRO_GPUSIM_ENGINE=reference``) drives the generators directly —
-  the slow, obviously-correct implementation the fast path is pinned
-  against, field for field, in ``tests/gpusim/test_trace_compile.py``.
-
-Scheduling semantics shared by both executors:
+Scheduling semantics:
 
 * **ALU-burst coalescing** — consecutive ALU micro-ops with no
   intervening dependency issue as a single burst; the warp holds its
   SMSP issue port across the chain (a dependent arithmetic chain never
-  yields the port mid-burst).  This is what lets the trace compiler
-  fuse such ops at compile time without changing any statistic.
+  yields the port mid-burst).  This is what lets the trace builders
+  fuse such ops at lowering time without changing any statistic.
 * **one-step scoreboard scheduling** — when the op following a
   dispatch depends on an outstanding scoreboard tag, the stall
   (``ready_time - warp_avail``) is attributed immediately and the warp
@@ -45,15 +36,19 @@ Scheduling semantics shared by both executors:
   NCU's warp-state sampling attributes long/short-scoreboard cycles —
   and each dependency costs one heap event instead of two.  Makespans,
   issue counts and not-selected stalls are unaffected.
+
+``tests/gpusim/reference_engine.py`` keeps a generator-driven executor
+with the same semantics; the differential tests and
+``tests/golden/kernels.json`` pin this one to it.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from repro.config.gpu import CACHE_LINE_BYTES, GpuSpec
 from repro.gpusim.hierarchy import MemoryHierarchy
@@ -62,42 +57,14 @@ from repro.gpusim.isa import (
     OP_LD_GLOBAL,
     OP_LD_LOCAL,
     OP_LD_SHARED,
+    OP_NAMES,
     OP_PREFETCH_L1,
     OP_PREFETCH_L2,
     OP_ST_GLOBAL,
     OP_ST_LOCAL,
     OP_ST_SHARED,
 )
-from repro.gpusim.trace import CompiledTrace, compile_programs
-
-WarpProgram = Callable[[], Iterator[tuple]]
-
-#: Environment switch for the default execution path; set to
-#: ``reference`` to run the generator-driven reference implementation.
-ENGINE_ENV = "REPRO_GPUSIM_ENGINE"
-
-
-def _reference_default() -> bool:
-    return os.environ.get(ENGINE_ENV, "").strip().lower() in (
-        "reference", "generator", "slow"
-    )
-
-
-class _Warp:
-    __slots__ = ("gen", "op", "sm", "smsp", "pending", "short_tags",
-                 "avail", "start", "block")
-
-    def __init__(self, gen: Iterator[tuple], sm: int, smsp: int,
-                 start: float, block: list) -> None:
-        self.gen = gen
-        self.op = next(gen, None)
-        self.sm = sm
-        self.smsp = smsp
-        self.pending: dict[int, float] = {}
-        self.short_tags: set[int] = set()
-        self.avail = start
-        self.start = start
-        self.block = block
+from repro.gpusim.trace import CompiledTrace
 
 
 @dataclass
@@ -131,63 +98,40 @@ class RawKernelStats:
 def run_kernel(
     gpu: GpuSpec,
     hierarchy: MemoryHierarchy,
-    programs: Iterable[WarpProgram] | CompiledTrace,
+    trace: CompiledTrace,
     *,
     warps_per_sm: int,
     warps_per_block: int = 8,
     name: str = "kernel",
-    reference: bool | None = None,
 ) -> RawKernelStats:
     """Execute one kernel launch and return its raw statistics.
 
-    ``programs`` supplies one generator factory per warp in launch order,
-    or a pre-lowered :class:`CompiledTrace`; consecutive groups of
-    ``warps_per_block`` form thread blocks, which are distributed
-    round-robin over the simulated SMs and streamed into
+    ``trace`` holds one op stream per warp in launch order; consecutive
+    groups of ``warps_per_block`` warps form thread blocks, which are
+    distributed round-robin over the simulated SMs and streamed into
     ``warps_per_sm // warps_per_block`` resident slots per SM.
-
-    ``reference`` selects the generator-driven reference executor
-    (default: the compiled fast path, unless ``REPRO_GPUSIM_ENGINE``
-    says otherwise).  Both executors produce identical statistics.
     """
+    if not isinstance(trace, CompiledTrace):
+        raise TypeError(
+            f"run_kernel takes a CompiledTrace, not {type(trace).__name__}"
+        )
     if warps_per_sm <= 0:
         raise ValueError("kernel has zero occupancy (too many registers?)")
-    if reference is None:
-        reference = _reference_default()
-    if isinstance(programs, CompiledTrace):
-        trace = programs
-        if trace.n_warps == 0:
-            raise ValueError("kernel launched with zero warps")
-        if reference:
-            return _run_reference(
-                gpu, hierarchy, trace.to_programs(),
-                warps_per_sm=warps_per_sm, warps_per_block=warps_per_block,
-                name=name,
-            )
-        return _run_compiled(
-            gpu, hierarchy, trace,
-            warps_per_sm=warps_per_sm, warps_per_block=warps_per_block,
-            name=name,
+    if not 1 <= warps_per_block <= warps_per_sm:
+        raise ValueError(
+            f"warps_per_block must be between 1 and warps_per_sm: got "
+            f"warps_per_block={warps_per_block}, "
+            f"warps_per_sm={warps_per_sm}"
         )
-    programs = list(programs)
-    if not programs:
+    if trace.n_warps == 0:
         raise ValueError("kernel launched with zero warps")
-    if reference:
-        return _run_reference(
-            gpu, hierarchy, programs,
-            warps_per_sm=warps_per_sm, warps_per_block=warps_per_block,
-            name=name,
-        )
     return _run_compiled(
-        gpu, hierarchy, compile_programs(programs),
+        gpu, hierarchy, trace,
         warps_per_sm=warps_per_sm, warps_per_block=warps_per_block,
         name=name,
     )
 
 
-# ----------------------------------------------------------------------
-# compiled fast path: index the flat trace op array
-# ----------------------------------------------------------------------
 def _run_compiled(
     gpu: GpuSpec,
     hierarchy: MemoryHierarchy,
@@ -202,13 +146,25 @@ def _run_compiled(
     n_smsp = num_sms * smsps_per_sm
     lat_shared = gpu.lat_shared
 
-    # Instruction-mix counters are schedule-independent: every op issues
-    # exactly once, so they are precomputed from the trace and the hot
-    # loop tracks only time-dependent quantities.
-    ops, counts = trace.exec_form()
+    op_kind = trace.kind
+    op_a = trace.a
+    op_b = trace.b
+    op_tag = trace.tag
     op_dep = trace.dep
     starts = trace.warp_starts
     n_warps = trace.n_warps
+    n_ops = trace.n_ops
+
+    # Every op issues exactly once whatever the schedule, so the
+    # per-kind counts come from one pass over the kind column; only the
+    # ALU cycle count (fused bursts) is summed as bursts issue.
+    kind_counts = np.bincount(
+        np.fromiter(op_kind, dtype=np.int8, count=n_ops),
+        minlength=len(OP_NAMES),
+    ).tolist()
+    n_alu = 0
+    # Without shared-memory loads no tag is ever short-scoreboard.
+    track_short = kind_counts[OP_LD_SHARED] > 0
 
     blocks = [
         range(i, min(i + warps_per_block, n_warps))
@@ -217,7 +173,7 @@ def _run_compiled(
     queues: list[deque] = [deque() for _ in range(num_sms)]
     for bid, block in enumerate(blocks):
         queues[bid % num_sms].append(block)
-    resident_slots = max(1, warps_per_sm // warps_per_block)
+    resident_slots = warps_per_sm // warps_per_block
 
     smsp_next_free = [0.0] * n_smsp
     sm_warp_counter = [0] * num_sms
@@ -283,15 +239,17 @@ def _run_compiled(
     store = hierarchy.store
     pf_l1 = hierarchy.prefetch_into_l1
     pf_l2 = hierarchy.prefetch_pin_l2
-    # Inlined warm-hit fast path for streaming addresses (offsets /
-    # indices / output): once a line is in the per-SM seen set, a load
-    # is a pure L1 hit — the accounting is accumulated locally and
-    # flushed to the hierarchy after the loop (identical final stats).
+    lat_l1 = hierarchy.gpu.lat_l1
+    # Pure L1 hits are accounted here and flushed to the hierarchy after
+    # the loop (identical final counters): warm hits on streaming
+    # addresses (offsets / indices / output) once their line is in the
+    # per-SM seen set, and every local load while local memory fits L1.
     stream_lo, stream_hi = hierarchy.streaming_range
     stream_seen = hierarchy._stream_seen
-    lat_l1 = hierarchy.gpu.lat_l1
     line_shift = CACHE_LINE_BYTES.bit_length() - 1
-    stream_hits = [0] * num_sms
+    l1_hits = [0] * num_sms
+    local_in_l1 = not hierarchy.local_overflow
+    local_reads = local_writes = 0
 
     while heap:
         t, _, wi, pc = heappop(heap)
@@ -299,57 +257,64 @@ def _run_compiled(
         nf = smsp_next_free[smsp]
         if nf > t:
             stall_ns += nf - t
-            t_can = nf
-        else:
-            t_can = t
+            t = nf
 
-        end = starts[wi + 1]
-        kind, a_v, b_v, tag_v = ops[pc]
-        pc += 1
+        kind = op_kind[pc]
         if kind == OP_ALU:
-            # runtime burst coalescing (same rule as the compiler's
-            # ALU fusion, so fused and unfused traces agree)
-            while pc < end:
-                op = ops[pc]
-                if op[0] != OP_ALU or op_dep[pc] >= 0:
-                    break
-                a_v += op[1]
+            # runtime burst coalescing (same rule as the builders' ALU
+            # fusion, so fused and unfused traces agree)
+            a_v = op_a[pc]
+            pc += 1
+            end = starts[wi + 1]
+            while pc < end and op_kind[pc] == OP_ALU and op_dep[pc] < 0:
+                a_v += op_a[pc]
                 pc += 1
-            avail = t_can + a_v
-        elif kind == OP_LD_GLOBAL:
-            sm = w_sm[wi]
-            if (
-                stream_lo <= a_v < stream_hi
-                and (a_v >> line_shift) in stream_seen[sm]
-            ):
-                stream_hits[sm] += b_v
-                w_pending[wi][tag_v] = t_can + lat_l1
-            else:
-                w_pending[wi][tag_v] = load(sm, a_v, b_v, t_can)
-            avail = t_can + 1
-        elif kind == OP_LD_LOCAL:
-            w_pending[wi][tag_v] = load_local(w_sm[wi], a_v, b_v, t_can)
-            avail = t_can + 1
-        elif kind == OP_LD_SHARED:
-            w_pending[wi][tag_v] = t_can + lat_shared
-            w_short[wi].add(tag_v)
-            avail = t_can + 1
-        elif kind == OP_ST_GLOBAL:
-            store(w_sm[wi], a_v, b_v, t_can)
-            avail = t_can + 1
-        elif kind == OP_ST_SHARED:
-            avail = t_can + 1
-        elif kind == OP_ST_LOCAL:
-            store(w_sm[wi], a_v, b_v, t_can, local=True)
-            avail = t_can + 1
-        elif kind == OP_PREFETCH_L1:
-            pf_l1(w_sm[wi], a_v, b_v, t_can)
-            avail = t_can + 1
-        elif kind == OP_PREFETCH_L2:
-            pf_l2(a_v, b_v, t_can)
-            avail = t_can + 1
+            n_alu += a_v
+            avail = t + a_v
         else:
-            raise ValueError(f"unknown micro-op kind {kind}")
+            a_v = op_a[pc]
+            b_v = op_b[pc]
+            if kind == OP_LD_GLOBAL:
+                sm = w_sm[wi]
+                if (
+                    stream_lo <= a_v < stream_hi
+                    and (a_v >> line_shift) in stream_seen[sm]
+                ):
+                    l1_hits[sm] += b_v
+                    w_pending[wi][op_tag[pc]] = t + lat_l1
+                else:
+                    w_pending[wi][op_tag[pc]] = load(sm, a_v, b_v, t)
+            elif kind == OP_LD_LOCAL:
+                if local_in_l1:
+                    local_reads += b_v
+                    l1_hits[w_sm[wi]] += b_v
+                    w_pending[wi][op_tag[pc]] = t + lat_l1
+                else:
+                    w_pending[wi][op_tag[pc]] = load_local(
+                        w_sm[wi], a_v, b_v, t
+                    )
+            elif kind == OP_ST_LOCAL:
+                if local_in_l1:
+                    local_writes += b_v
+                else:
+                    store(w_sm[wi], a_v, b_v, t, local=True)
+            elif kind == OP_LD_SHARED:
+                tag_v = op_tag[pc]
+                w_pending[wi][tag_v] = t + lat_shared
+                w_short[wi].add(tag_v)
+            elif kind == OP_ST_GLOBAL:
+                store(w_sm[wi], a_v, b_v, t)
+            elif kind == OP_ST_SHARED:
+                pass
+            elif kind == OP_PREFETCH_L1:
+                pf_l1(w_sm[wi], a_v, b_v, t)
+            elif kind == OP_PREFETCH_L2:
+                pf_l2(a_v, b_v, t)
+            else:
+                raise ValueError(f"unknown micro-op kind {kind}")
+            avail = t + 1
+            pc += 1
+            end = starts[wi + 1]
         smsp_next_free[smsp] = avail
 
         if pc == end:
@@ -359,27 +324,27 @@ def _run_compiled(
         # one-step scoreboard scheduling for the next op
         dep = op_dep[pc]
         if dep >= 0:
-            pending = w_pending[wi]
-            dep_ready = pending.get(dep) if pending else None
+            dep_ready = w_pending[wi].pop(dep, None)
             if dep_ready is not None:
-                del pending[dep]
                 if dep_ready > avail:
-                    short_tags = w_short[wi]
-                    if dep in short_tags:
+                    if track_short and dep in w_short[wi]:
                         stall_short += dep_ready - avail
-                        short_tags.discard(dep)
+                        w_short[wi].discard(dep)
                     else:
                         stall_long += dep_ready - avail
                     seq += 1
                     heappush(heap, (dep_ready, seq, wi, pc))
                     continue
-                w_short[wi].discard(dep)
+                if track_short:
+                    w_short[wi].discard(dep)
         seq += 1
         heappush(heap, (avail, seq, wi, pc))
 
     for sm in range(num_sms):
-        if stream_hits[sm]:
-            hierarchy.l1s[sm].hit_sectors += stream_hits[sm]
+        if l1_hits[sm]:
+            hierarchy.l1s[sm].hit_sectors += l1_hits[sm]
+    hierarchy.local_read_sectors += local_reads
+    hierarchy.local_write_sectors += local_writes
 
     if n_warps_run != n_warps:
         raise RuntimeError(
@@ -387,207 +352,25 @@ def _run_compiled(
             f"ran {n_warps_run} of {n_warps}"
         )
 
+    n_st = (
+        kind_counts[OP_ST_GLOBAL] + kind_counts[OP_ST_SHARED]
+        + kind_counts[OP_ST_LOCAL]
+    )
     return RawKernelStats(
         name=name,
         makespan_cycles=max_finish,
         n_warps=n_warps,
         warps_per_sm=warps_per_sm,
         n_smsp=n_smsp,
-        issued_insts=counts["issued"],
-        alu_insts=counts["alu"],
-        ld_global_insts=counts["ld_global"],
-        ld_local_insts=counts["ld_local"],
-        ld_shared_insts=counts["ld_shared"],
-        st_insts=counts["st"],
-        prefetch_insts=counts["prefetch"],
-        warp_resident_cycles=warp_resident,
-        stall_long_scoreboard=stall_long,
-        stall_short_scoreboard=stall_short,
-        stall_not_selected=stall_ns,
-    )
-
-
-# ----------------------------------------------------------------------
-# reference path: drive generator programs directly
-# ----------------------------------------------------------------------
-def _run_reference(
-    gpu: GpuSpec,
-    hierarchy: MemoryHierarchy,
-    programs: list[WarpProgram],
-    *,
-    warps_per_sm: int,
-    warps_per_block: int,
-    name: str,
-) -> RawKernelStats:
-    num_sms = gpu.num_sms
-    smsps_per_sm = gpu.smsps_per_sm
-    n_smsp = num_sms * smsps_per_sm
-    lat_shared = gpu.lat_shared
-
-    blocks = [
-        programs[i:i + warps_per_block]
-        for i in range(0, len(programs), warps_per_block)
-    ]
-    queues: list[deque] = [deque() for _ in range(num_sms)]
-    for b, block in enumerate(blocks):
-        queues[b % num_sms].append(block)
-    resident_slots = max(1, warps_per_sm // warps_per_block)
-
-    smsp_next_free = [0.0] * n_smsp
-    smsp_issued = [0] * n_smsp
-    sm_warp_counter = [0] * num_sms
-
-    heap: list[tuple[float, int, _Warp]] = []
-    seq = 0
-
-    # counters
-    n_alu = n_ldg = n_ldl = n_lds = n_st = n_pf = 0
-    stall_long = stall_short = stall_ns = 0.0
-    warp_resident = 0.0
-    max_finish = 0.0
-    n_warps_run = 0
-
-    def start_block(sm: int, factories: list[WarpProgram], t: float) -> None:
-        nonlocal seq, n_warps_run
-        # block state: [warps remaining, latest finish, home SM]
-        block_state = [len(factories), t, sm]
-        for factory in factories:
-            smsp = sm * smsps_per_sm + (sm_warp_counter[sm] % smsps_per_sm)
-            sm_warp_counter[sm] += 1
-            warp = _Warp(factory(), sm, smsp, t, block_state)
-            n_warps_run += 1
-            if warp.op is None:  # empty program: finishes immediately
-                _retire(warp, t)
-                continue
-            seq += 1
-            heapq.heappush(heap, (t, seq, warp))
-
-    def _retire(warp: _Warp, finish: float) -> None:
-        nonlocal warp_resident, max_finish
-        warp_resident += finish - warp.start
-        if finish > max_finish:
-            max_finish = finish
-        block_state = warp.block
-        block_state[0] -= 1
-        if finish > block_state[1]:
-            block_state[1] = finish
-        if block_state[0] == 0:
-            home = block_state[2]
-            if queues[home]:
-                start_block(home, queues[home].popleft(), block_state[1])
-
-    for sm in range(num_sms):
-        for _ in range(resident_slots):
-            if queues[sm]:
-                start_block(sm, queues[sm].popleft(), 0.0)
-
-    heappush, heappop = heapq.heappush, heapq.heappop
-    load = hierarchy.load
-    store = hierarchy.store
-    pf_l1 = hierarchy.prefetch_into_l1
-    pf_l2 = hierarchy.prefetch_pin_l2
-
-    while heap:
-        t, _, w = heappop(heap)
-        op = w.op
-        smsp = w.smsp
-        nf = smsp_next_free[smsp]
-        t_can = nf if nf > t else t
-        if t_can > t:
-            stall_ns += t_can - t
-
-        kind = op[0]
-        if kind == OP_ALU:
-            n = op[1]
-            # runtime burst coalescing: a dependency-free ALU op directly
-            # following an ALU op joins the same burst (the warp holds
-            # its issue port across the chain) — the same rule the trace
-            # compiler applies at compile time
-            nxt = next(w.gen, None)
-            while nxt is not None and nxt[0] == OP_ALU and nxt[4] is None:
-                n += nxt[1]
-                nxt = next(w.gen, None)
-            smsp_next_free[smsp] = t_can + n
-            smsp_issued[smsp] += n
-            n_alu += n
-            w.avail = t_can + n
-        else:
-            if kind == OP_LD_GLOBAL:
-                w.pending[op[3]] = load(w.sm, op[1], op[2], t_can)
-                n_ldg += 1
-            elif kind == OP_LD_LOCAL:
-                w.pending[op[3]] = load(w.sm, op[1], op[2], t_can, local=True)
-                n_ldl += 1
-            elif kind == OP_LD_SHARED:
-                tag = op[3]
-                w.pending[tag] = t_can + lat_shared
-                w.short_tags.add(tag)
-                n_lds += 1
-            elif kind == OP_ST_GLOBAL:
-                store(w.sm, op[1], op[2], t_can)
-                n_st += 1
-            elif kind == OP_ST_SHARED:
-                n_st += 1
-            elif kind == OP_ST_LOCAL:
-                store(w.sm, op[1], op[2], t_can, local=True)
-                n_st += 1
-            elif kind == OP_PREFETCH_L1:
-                pf_l1(w.sm, op[1], op[2], t_can)
-                n_pf += 1
-            elif kind == OP_PREFETCH_L2:
-                pf_l2(op[1], op[2], t_can)
-                n_pf += 1
-            else:
-                raise ValueError(f"unknown micro-op kind {kind}")
-            smsp_next_free[smsp] = t_can + 1
-            smsp_issued[smsp] += 1
-            w.avail = t_can + 1
-            nxt = next(w.gen, None)
-
-        if nxt is None:
-            _retire(w, w.avail)
-            continue
-
-        # one-step scoreboard scheduling for the next op
-        avail = w.avail
-        nxt_t = avail
-        dep = nxt[4]
-        if dep is not None:
-            dep_ready = w.pending.get(dep)
-            if dep_ready is not None:
-                del w.pending[dep]
-                if dep_ready > avail:
-                    if dep in w.short_tags:
-                        stall_short += dep_ready - avail
-                        w.short_tags.discard(dep)
-                    else:
-                        stall_long += dep_ready - avail
-                    nxt_t = dep_ready
-                else:
-                    w.short_tags.discard(dep)
-        w.op = nxt
-        seq += 1
-        heappush(heap, (nxt_t, seq, w))
-
-    if n_warps_run != len(programs):
-        raise RuntimeError(
-            "block scheduler lost warps: "
-            f"ran {n_warps_run} of {len(programs)}"
-        )
-
-    return RawKernelStats(
-        name=name,
-        makespan_cycles=max_finish,
-        n_warps=len(programs),
-        warps_per_sm=warps_per_sm,
-        n_smsp=n_smsp,
-        issued_insts=sum(smsp_issued),
+        issued_insts=n_alu + n_ops - kind_counts[OP_ALU],
         alu_insts=n_alu,
-        ld_global_insts=n_ldg,
-        ld_local_insts=n_ldl,
-        ld_shared_insts=n_lds,
+        ld_global_insts=kind_counts[OP_LD_GLOBAL],
+        ld_local_insts=kind_counts[OP_LD_LOCAL],
+        ld_shared_insts=kind_counts[OP_LD_SHARED],
         st_insts=n_st,
-        prefetch_insts=n_pf,
+        prefetch_insts=(
+            kind_counts[OP_PREFETCH_L1] + kind_counts[OP_PREFETCH_L2]
+        ),
         warp_resident_cycles=warp_resident,
         stall_long_scoreboard=stall_long,
         stall_short_scoreboard=stall_short,

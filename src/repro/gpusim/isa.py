@@ -1,7 +1,6 @@
 """Micro-op encoding for warp-level kernel programs.
 
-Kernel programs (``repro.kernels``) are Python generators that yield one
-plain 5-tuple per warp-level instruction::
+Every warp-level instruction is one micro-op of five fields::
 
     (kind, a, b, tag, dep)
 
@@ -10,8 +9,12 @@ sector count for memory ops, cycle count for ALU bursts); ``tag`` names
 the destination scoreboard slot a load writes; ``dep`` names the
 scoreboard slot this instruction must wait on (``None`` when independent).
 
-Plain tuples (instead of objects) keep the event loop fast; this module
-is the single place that documents the encoding.
+The kernel builders (:mod:`repro.kernels`) emit micro-ops straight into
+the flat columns of a :class:`~repro.gpusim.trace.CompiledTrace` (one
+column per field, ``-1`` for "none"), which the engine executes.  The
+helpers below build one micro-op as a plain 5-tuple, for hand-written
+programs in tests; this module is the single place that documents the
+encoding.
 
 Kinds
 -----

@@ -1,55 +1,38 @@
-"""Compiled warp traces: flat-array lowering of warp programs.
+"""Compiled warp traces: one kernel launch as flat per-op columns.
 
-The generator encoding in :mod:`repro.gpusim.isa` is convenient to
-write but expensive to execute: every micro-op costs a generator frame
-resume and a fresh 5-tuple.  A :class:`CompiledTrace` lowers a whole
-kernel launch into five flat int columns (op kind / operand A /
-operand B / scoreboard tag / dependency tag) plus a CSR-style
-``warp_starts`` index, so the engine's inner loop indexes preallocated
-arrays instead of driving Python generators.
+A :class:`CompiledTrace` holds a whole kernel launch as five flat int
+columns — op kind / operand A / operand B / scoreboard tag / dependency
+tag, in the micro-op encoding of :mod:`repro.gpusim.isa` — plus a
+CSR-style ``warp_starts`` index.  It is the one kernel encoding: the
+kernel builders (:mod:`repro.kernels`) emit it through a
+:class:`TraceBuilder`, and the engine's loop indexes its columns
+directly.
 
-Lowering is mechanical and loss-free; the one compile-time optimization
-is *ALU fusion*: an ``OP_ALU`` op directly following another ``OP_ALU``
-with no dependency is merged into its predecessor's cycle count.  The
-engine applies the identical fusion rule at runtime on both execution
-paths (see :mod:`repro.gpusim.engine`), so a fused and an unfused trace
-of the same program produce identical statistics — fusion only shrinks
-the op stream and the event count.
+The one lowering-time optimization is *ALU fusion*: an ``OP_ALU`` op
+directly following another ``OP_ALU`` with no dependency is merged into
+its predecessor's cycle count.  The engine applies the identical rule
+at runtime (see :mod:`repro.gpusim.engine`), so a fused and an unfused
+trace of the same program produce identical statistics — fusion only
+shrinks the op stream and the event count.
 
 ``None`` tags/deps are stored as ``-1`` so every column stays a plain
-int column; :func:`compile_programs` converts on the way in and
-:meth:`CompiledTrace.to_programs` converts back on the way out.
+int column.
 
 A trace also knows its :meth:`~CompiledTrace.fingerprint` — a content
 hash over the packed columns — a stable identity for deduplication and
-equivalence tests.  (The kernel-result memo in
-:mod:`repro.gpusim.memo` keys on the *inputs* that produce a trace —
-workload content, build, lowering constants — so cache hits never pay
-for trace construction; see ``run_table_kernel``.)
+equivalence tests (``tests/golden/kernels.json`` pins every lowering by
+it).  (The kernel-result memo in :mod:`repro.gpusim.memo` keys on the
+*inputs* that produce a trace — workload content, build, lowering
+constants — so cache hits never pay for trace construction; see
+``run_table_kernel``.)
 """
 
 from __future__ import annotations
 
 import hashlib
 from array import array
-from typing import Callable, Iterable, Iterator
 
-import numpy as np
-
-from repro.gpusim.isa import (
-    OP_ALU,
-    OP_LD_GLOBAL,
-    OP_LD_LOCAL,
-    OP_LD_SHARED,
-    OP_NAMES,
-    OP_PREFETCH_L1,
-    OP_PREFETCH_L2,
-    OP_ST_GLOBAL,
-    OP_ST_LOCAL,
-    OP_ST_SHARED,
-)
-
-WarpProgram = Callable[[], Iterator[tuple]]
+from repro.gpusim.isa import OP_ALU, OP_NAMES
 
 
 class CompiledTrace:
@@ -62,7 +45,7 @@ class CompiledTrace:
     """
 
     __slots__ = ("kind", "a", "b", "tag", "dep", "warp_starts",
-                 "_fingerprint", "_exec")
+                 "_fingerprint")
 
     def __init__(
         self,
@@ -85,7 +68,6 @@ class CompiledTrace:
         self.dep = dep
         self.warp_starts = warp_starts
         self._fingerprint: str | None = None
-        self._exec: tuple[list[tuple], dict[str, int]] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -106,63 +88,6 @@ class CompiledTrace:
                 h.update(b"|")
             self._fingerprint = h.hexdigest()
         return self._fingerprint
-
-    def exec_form(self) -> tuple[list[tuple], dict[str, int]]:
-        """Execution form: one ``(kind, a, b, tag)`` tuple per op (the
-        dep column is indexed separately), plus static counters.
-
-        Every op issues exactly once regardless of scheduling, so the
-        instruction-mix counters of :class:`RawKernelStats` are a pure
-        function of the trace; precomputing them here (cached) lets the
-        engine's hot loop track only time-dependent quantities.
-        """
-        if self._exec is None:
-            kind = self.kind
-            a = self.a
-            ops = list(zip(kind, a, self.b, self.tag))
-            if kind:
-                kind_arr = np.asarray(kind, dtype=np.int64)
-                n_alu = int(
-                    np.asarray(a, dtype=np.int64)[kind_arr == OP_ALU].sum()
-                )
-            else:
-                n_alu = 0
-            counts = {
-                "alu": n_alu,
-                "ld_global": kind.count(OP_LD_GLOBAL),
-                "ld_local": kind.count(OP_LD_LOCAL),
-                "ld_shared": kind.count(OP_LD_SHARED),
-                "st": (
-                    kind.count(OP_ST_GLOBAL)
-                    + kind.count(OP_ST_SHARED)
-                    + kind.count(OP_ST_LOCAL)
-                ),
-                "prefetch": (
-                    kind.count(OP_PREFETCH_L1) + kind.count(OP_PREFETCH_L2)
-                ),
-            }
-            counts["issued"] = n_alu + (len(kind) - kind.count(OP_ALU))
-            self._exec = (ops, counts)
-        return self._exec
-
-    def warp_ops(self, warp: int) -> Iterator[tuple]:
-        """The 5-tuple micro-ops of one warp (ISA encoding, with None)."""
-        kind, a, b = self.kind, self.a, self.b
-        tag, dep = self.tag, self.dep
-        for i in range(self.warp_starts[warp], self.warp_starts[warp + 1]):
-            yield (
-                kind[i], a[i], b[i],
-                tag[i] if tag[i] >= 0 else None,
-                dep[i] if dep[i] >= 0 else None,
-            )
-
-    def to_programs(self) -> list[WarpProgram]:
-        """Generator-program adapters (for the reference engine path)."""
-
-        def make(w: int) -> WarpProgram:
-            return lambda: self.warp_ops(w)
-
-        return [make(w) for w in range(self.n_warps)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CompiledTrace):
@@ -222,15 +147,6 @@ class TraceBuilder:
         self.tag.append(tag)
         self.dep.append(dep)
 
-    def append_op(self, op: tuple) -> None:
-        """Append one ISA 5-tuple (``None`` tag/dep allowed)."""
-        kind, a, b, tag, dep = op
-        self.append(
-            kind, a, b,
-            -1 if tag is None else tag,
-            -1 if dep is None else dep,
-        )
-
     def end_warp(self) -> None:
         """Close the current warp (empty warps are legal)."""
         self.warp_starts.append(len(self.kind))
@@ -246,22 +162,3 @@ class TraceBuilder:
         return CompiledTrace(
             self.kind, self.a, self.b, self.tag, self.dep, self.warp_starts
         )
-
-
-def compile_programs(
-    programs: Iterable[WarpProgram], *, fuse: bool = True
-) -> CompiledTrace:
-    """Lower generator warp programs into one flat :class:`CompiledTrace`.
-
-    Runs each generator exactly once, materializing its op stream into
-    the builder (with ALU fusion unless disabled).  This is how the
-    engine's fast path executes legacy generator programs; structured
-    builders (:mod:`repro.kernels`) skip the generators entirely.
-    """
-    builder = TraceBuilder(fuse=fuse)
-    append_op = builder.append_op
-    for factory in programs:
-        for op in factory():
-            append_op(op)
-        builder.end_warp()
-    return builder.build()

@@ -9,13 +9,11 @@ from repro.kernels.compiler import (
     optmt_maxrreg,
 )
 from repro.kernels.embedding_bag import (
-    build_base_programs,
     expected_global_loads,
     iter_warp_work,
     warps_per_sample,
 )
 from repro.kernels.pinning import (
-    build_pin_kernel_programs,
     hot_row_lines,
     pin_hot_rows,
     pinnable_rows,
@@ -23,18 +21,12 @@ from repro.kernels.pinning import (
     profile_hot_rows,
     simulate_pin_kernel,
 )
-from repro.kernels.prefetch import build_prefetch_programs
-from repro.kernels.registry import build_programs
 
 __all__ = [
     "AddressMap",
     "KernelBuild",
     "LOCAL_WINDOW_BYTES",
     "PREFETCH_KINDS",
-    "build_base_programs",
-    "build_pin_kernel_programs",
-    "build_prefetch_programs",
-    "build_programs",
     "compile_kernel",
     "demand_registers",
     "expected_global_loads",

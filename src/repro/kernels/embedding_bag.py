@@ -1,4 +1,4 @@
-"""Warp programs for the stock embedding-bag CUDA kernel (Algorithm 2).
+"""The stock embedding-bag CUDA kernel (Algorithm 2), lowered to warp traces.
 
 Work partitioning follows the paper's Figure 4: each sample's output row
 is split across ``row_bytes / 128`` warps (4 warps for a 128-dim fp32
@@ -13,18 +13,20 @@ Per gather-reduce iteration a warp:
 plus register-spill round-trips to local memory when the compiler was
 forced below the kernel's register demand.
 
-Each kernel variant has two interchangeable emitters: the generator
-*programs* (the readable reference the engine's slow path consumes) and
-a structured *trace builder* that lowers the same op stream straight
-into a :class:`~repro.gpusim.trace.CompiledTrace` for the engine's fast
-path — no generators, no per-op tuples, consecutive ALU ops fused at
-compile time.  ``tests/gpusim/test_trace_compile.py`` pins the two
-emitters to each other.
+The builders lower each kernel variant straight into a
+:class:`~repro.gpusim.trace.CompiledTrace`: the op shape of a gather
+iteration (and of its spill round-trips) is a fixed column pattern
+extended onto the trace columns, and dependency-free ALU ops are fused
+into the burst they follow.  ``tests/golden/kernels.json`` pins the
+lowered op streams by content fingerprint, and
+``tests/gpusim/reference_engine.py`` keeps the op streams as readable
+generator programs that ``tests/gpusim/test_trace_compile.py`` pins the
+builders to.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+import numpy as np
 
 from repro.config.gpu import CACHE_LINE_BYTES
 from repro.datasets.trace import EmbeddingTrace
@@ -39,8 +41,6 @@ from repro.gpusim.trace import CompiledTrace, TraceBuilder
 from repro.kernels import calibration as cal
 from repro.kernels.address_map import AddressMap
 from repro.kernels.compiler import KernelBuild
-
-WarpProgram = Callable[[], Iterator[tuple]]
 
 # Scoreboard tag assignments (per-warp namespace).
 TAG_OFF = 0
@@ -89,78 +89,50 @@ def spill_state(build: KernelBuild) -> tuple[float, int]:
     return build.spill_pairs_per_iter, max(1, build.spilled_regs)
 
 
-def make_base_warp_program(
-    amap: AddressMap,
-    sample: int,
-    col_off: int,
-    flat_begin: int,
-    rows: list[int],
-    warp_uid: int,
-    spill_pairs: float,
-    spill_lines: int,
-) -> WarpProgram:
-    """The off-the-shelf kernel body for one warp (plus spill traffic)."""
-    row_bytes = amap.row_bytes
-    addr_alu = cal.ADDR_CALC_ALU
-    accum_alu = cal.ACCUM_ALU
-    local_line = AddressMap.local_line
-
-    def gen() -> Iterator[tuple]:
-        yield (OP_LD_GLOBAL, amap.offsets_addr(sample), 1, TAG_OFF, None)
-        yield (OP_ALU, cal.PROLOGUE_ALU, 0, None, TAG_OFF)
-        idx_base = amap.index_addr(flat_begin)
-        spill_acc = 0.0
-        spill_slot = 0
-        for i, row in enumerate(rows):
-            yield (OP_LD_GLOBAL, idx_base + 8 * i, 1, TAG_IDX, None)
-            yield (OP_ALU, addr_alu, 0, None, TAG_IDX)
-            yield (OP_LD_GLOBAL, amap.row_addr(row, col_off), 4,
-                   TAG_ROW, None)
-            yield (OP_ALU, accum_alu, 0, None, TAG_ROW)
-            spill_acc += spill_pairs
-            while spill_acc >= 1.0:
-                spill_acc -= 1.0
-                addr = local_line(warp_uid, spill_slot % spill_lines)
-                spill_slot += 1
-                yield (OP_ST_LOCAL, addr, 4, None, None)
-                yield (OP_LD_LOCAL, addr, 4, TAG_SPILL, None)
-                yield (OP_ALU, cal.SPILL_CONSUME_ALU, 0, None, TAG_SPILL)
-        yield (OP_ALU, cal.EPILOGUE_ALU, 0, None, None)
-        yield (OP_ST_GLOBAL, amap.output_addr(sample, col_off), 4,
-               None, None)
-
-    return gen
+def spill_schedule(spill_pairs: float, n_iters: int) -> list[int]:
+    """Register-spill round-trips after each of a warp's first
+    ``n_iters`` gather iterations: one per whole unit of spill pairs
+    accumulated so far.  The same for every warp of a launch."""
+    counts = []
+    acc = 0.0
+    for _ in range(n_iters):
+        acc += spill_pairs
+        count = 0
+        while acc >= 1.0:
+            acc -= 1.0
+            count += 1
+        counts.append(count)
+    return counts
 
 
-def build_base_programs(
-    trace: EmbeddingTrace,
-    build: KernelBuild,
-    amap: AddressMap,
-    *,
-    warp_uid_base: int = 0,
-) -> list[WarpProgram]:
-    """Programs for every warp of a baseline (or OptMT) kernel launch."""
-    spill_pairs, spill_lines = spill_state(build)
-    programs: list[WarpProgram] = []
-    uid = warp_uid_base
-    for sample, col_off, begin, rows in iter_warp_work(
-            trace, amap.row_bytes):
-        programs.append(
-            make_base_warp_program(
-                amap, sample, col_off, begin, rows,
-                uid, spill_pairs, spill_lines,
-            )
-        )
-        uid += 1
-    return programs
+def _base_shape(spill_counts: list[int]) -> tuple[list, list, list, list]:
+    """The kind, b, tag and dep columns of one base-kernel warp that
+    gathers ``len(spill_counts)`` rows: the shape every such warp of a
+    launch shares.  The epilogue ALU is fused into the burst before it,
+    so it adds no op."""
+    shape: tuple[list, list, list, list] = ([], [], [], [])
+    kinds, b, tags, deps = shape
 
+    def op(kind: int, sectors: int = 0, tag: int = -1,
+           dep: int = -1) -> None:
+        kinds.append(kind)
+        b.append(sectors)
+        tags.append(tag)
+        deps.append(dep)
 
-# Per-gather-iteration column patterns for the structured trace builder
-# (index load -> address ALU -> row load -> accumulate ALU).
-_ROW_KINDS = (OP_LD_GLOBAL, OP_ALU, OP_LD_GLOBAL, OP_ALU)
-_ROW_B = (1, 0, 4, 0)
-_ROW_TAG = (TAG_IDX, -1, TAG_ROW, -1)
-_ROW_DEP = (-1, TAG_IDX, -1, TAG_ROW)
+    op(OP_LD_GLOBAL, 1, TAG_OFF)
+    op(OP_ALU, dep=TAG_OFF)
+    for spills in spill_counts:
+        op(OP_LD_GLOBAL, 1, TAG_IDX)
+        op(OP_ALU, dep=TAG_IDX)
+        op(OP_LD_GLOBAL, 4, TAG_ROW)
+        op(OP_ALU, dep=TAG_ROW)
+        for _ in range(spills):
+            op(OP_ST_LOCAL, 4)
+            op(OP_LD_LOCAL, 4, TAG_SPILL)
+            op(OP_ALU, dep=TAG_SPILL)
+    op(OP_ST_GLOBAL, 4)
+    return shape
 
 
 def build_base_trace(
@@ -172,20 +144,26 @@ def build_base_trace(
 ) -> CompiledTrace:
     """Compiled trace for a baseline (or OptMT) kernel launch.
 
-    Emits exactly the op stream of :func:`build_base_programs`, lowered
-    straight into flat columns: per gather iteration one 4-op pattern is
-    extended onto the columns, and the epilogue ALU fuses into the
-    trailing accumulate (or spill-consume) ALU burst.
+    A warp's op shape — its kind, operand-B, tag and dep columns —
+    depends only on how many rows it gathers: the offsets load and
+    prologue ALU, one 4-op gather iteration per row followed by that
+    iteration's spill round-trips, and the output store.  Each shape is
+    built once per launch (:func:`_base_shape`) and extended onto the
+    columns; per warp only operand A is computed, in the same order.
+    The epilogue ALU is dependency-free and always follows an ALU burst
+    (prologue, accumulate or spill-consume), so it is fused into it.
     """
     spill_pairs, spill_lines = spill_state(build)
     row_bytes = amap.row_bytes
     addr_alu = cal.ADDR_CALC_ALU
     accum_alu = cal.ACCUM_ALU
-    prologue_alu = cal.PROLOGUE_ALU
-    epilogue_alu = cal.EPILOGUE_ALU
     spill_consume_alu = cal.SPILL_CONSUME_ALU
     local_line = AddressMap.local_line
     row_base = amap.row_addr(0)
+    spill_counts = spill_schedule(
+        spill_pairs, int(np.diff(trace.offsets).max())
+    )
+    shapes: dict[int, tuple[list, list, list, list]] = {}
 
     builder = TraceBuilder()
     kind_col = builder.kind
@@ -197,70 +175,45 @@ def build_base_trace(
 
     uid = warp_uid_base
     for sample, col_off, begin, rows in iter_warp_work(trace, row_bytes):
-        kind_col.append(OP_LD_GLOBAL)
-        a_col.append(amap.offsets_addr(sample))
-        b_col.append(1)
-        tag_col.append(TAG_OFF)
-        dep_col.append(-1)
-        kind_col.append(OP_ALU)
-        a_col.append(prologue_alu)
-        b_col.append(0)
-        tag_col.append(-1)
-        dep_col.append(TAG_OFF)
+        n = len(rows)
+        shape = shapes.get(n)
+        if shape is None:
+            shape = shapes[n] = _base_shape(spill_counts[:n])
+        kind_col.extend(shape[0])
+        b_col.extend(shape[1])
+        tag_col.extend(shape[2])
+        dep_col.extend(shape[3])
+
+        a_col.extend((amap.offsets_addr(sample), cal.PROLOGUE_ALU))
         idx_addr = amap.index_addr(begin)
         chunk_base = row_base + col_off
         if spill_pairs == 0.0:
             for row in rows:
-                kind_col.extend(_ROW_KINDS)
                 a_col.extend((
                     idx_addr, addr_alu,
                     chunk_base + row * row_bytes, accum_alu,
                 ))
-                b_col.extend(_ROW_B)
-                tag_col.extend(_ROW_TAG)
-                dep_col.extend(_ROW_DEP)
                 idx_addr += 8
         else:
-            spill_acc = 0.0
+            spill_addrs = [
+                local_line(uid, slot) for slot in range(spill_lines)
+            ]
             spill_slot = 0
-            for row in rows:
-                kind_col.extend(_ROW_KINDS)
+            for row, spills in zip(rows, spill_counts):
                 a_col.extend((
                     idx_addr, addr_alu,
                     chunk_base + row * row_bytes, accum_alu,
                 ))
-                b_col.extend(_ROW_B)
-                tag_col.extend(_ROW_TAG)
-                dep_col.extend(_ROW_DEP)
                 idx_addr += 8
-                spill_acc += spill_pairs
-                while spill_acc >= 1.0:
-                    spill_acc -= 1.0
-                    addr = local_line(uid, spill_slot % spill_lines)
+                for _ in range(spills):
+                    addr = spill_addrs[spill_slot % spill_lines]
                     spill_slot += 1
-                    kind_col.extend(_SPILL_KINDS)
                     a_col.extend((addr, addr, spill_consume_alu))
-                    b_col.extend(_SPILL_B)
-                    tag_col.extend(_SPILL_TAG)
-                    dep_col.extend(_SPILL_DEP)
-        # epilogue ALU is dependency-free and always follows an ALU
-        # (prologue, accumulate, or spill-consume): fuse it
-        a_col[-1] += epilogue_alu
-        kind_col.append(OP_ST_GLOBAL)
+        a_col[-1] += cal.EPILOGUE_ALU  # fused into the burst before it
         a_col.append(amap.output_addr(sample, col_off))
-        b_col.append(4)
-        tag_col.append(-1)
-        dep_col.append(-1)
         end_warp()
         uid += 1
     return builder.build()
-
-
-# spill round-trip column pattern: st.local -> ld.local -> consume ALU
-_SPILL_KINDS = (OP_ST_LOCAL, OP_LD_LOCAL, OP_ALU)
-_SPILL_B = (4, 4, 0)
-_SPILL_TAG = (-1, TAG_SPILL, -1)
-_SPILL_DEP = (-1, -1, TAG_SPILL)
 
 
 def expected_global_loads(trace: EmbeddingTrace, row_bytes: int) -> int:
@@ -268,11 +221,3 @@ def expected_global_loads(trace: EmbeddingTrace, row_bytes: int) -> int:
     one offsets load per warp plus (index + row) per iteration."""
     n_warps = trace.batch_size * warps_per_sample(row_bytes)
     return n_warps + 2 * trace.n_accesses * warps_per_sample(row_bytes)
-
-
-_SPILL_YIELDS = 3  # st.local + ld.local + consume ALU per round-trip
-
-
-def spill_ops_estimate(build: KernelBuild, n_iters: int) -> int:
-    """Rough micro-op count added by spill traffic (for sizing tests)."""
-    return int(build.spill_pairs_per_iter * n_iters) * _SPILL_YIELDS

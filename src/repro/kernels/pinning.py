@@ -16,8 +16,6 @@ The set-aside is capped at 75% of L2 (30 MB on A100), which holds
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from repro.config.gpu import CACHE_LINE_BYTES, GpuSpec
@@ -33,7 +31,6 @@ from repro.kernels.address_map import AddressMap
 from repro.memstore.policy import profile_hot_rows
 
 __all__ = [
-    "build_pin_kernel_programs",
     "build_pin_kernel_trace",
     "hot_row_lines",
     "pin_hot_rows",
@@ -79,33 +76,12 @@ def pin_hot_rows(
     return pinned
 
 
-def build_pin_kernel_programs(
-    rows: np.ndarray, amap: AddressMap, gpu: GpuSpec
-):
-    """Warp programs for the explicit pin kernel (step 3 of Fig. 10):
-    hot-row lines are strided across one block of warps per SM, each warp
-    issuing ``prefetch.global.L2::evict_last`` back to back."""
-    lines = hot_row_lines(rows, amap)
-    n_warps = max(1, gpu.num_sms * gpu.warps_per_block)
-
-    def make_program(start: int):
-        my_lines = lines[start::n_warps]
-
-        def gen() -> Iterator[tuple]:
-            for line in my_lines:
-                yield (OP_PREFETCH_L2, line << _LINE_SHIFT, 4, None, None)
-                yield (OP_ALU, _PIN_LOOP_ALU, 0, None, None)
-
-        return gen
-
-    return [make_program(w) for w in range(n_warps)]
-
-
 def build_pin_kernel_trace(
     rows: np.ndarray, amap: AddressMap, gpu: GpuSpec
 ) -> CompiledTrace:
-    """Compiled trace of the pin kernel (fast-path twin of
-    :func:`build_pin_kernel_programs`)."""
+    """Compiled trace of the explicit pin kernel (step 3 of Fig. 10):
+    hot-row lines are strided across one block of warps per SM, each warp
+    issuing ``prefetch.global.L2::evict_last`` back to back."""
     lines = hot_row_lines(rows, amap)
     n_warps = max(1, gpu.num_sms * gpu.warps_per_block)
     builder = TraceBuilder()

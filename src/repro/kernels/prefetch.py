@@ -21,7 +21,7 @@ paper engineers.
 
 from __future__ import annotations
 
-from typing import Iterator
+import numpy as np
 
 from repro.datasets.trace import EmbeddingTrace
 from repro.gpusim.isa import (
@@ -46,263 +46,67 @@ from repro.kernels.embedding_bag import (
     TAG_PF_BASE,
     TAG_SMEM,
     TAG_SPILL,
-    WarpProgram,
-    _SPILL_B,
-    _SPILL_DEP,
-    _SPILL_KINDS,
-    _SPILL_TAG,
     iter_warp_work,
+    spill_schedule,
     spill_state,
 )
 
+def _prefetch_shape(
+    station: str, n: int, distance: int, spill_counts: list[int]
+) -> tuple[list, list, list, list]:
+    """The kind, b, tag and dep columns of one prefetching warp that
+    gathers ``n`` rows: the shape every such warp of a launch shares.
+    The trigger and epilogue ALU ops are fused into the burst before
+    them, so they add no op."""
+    shape: tuple[list, list, list, list] = ([], [], [], [])
+    kinds, b, tags, deps = shape
 
-def _spill_ops(
-    warp_uid: int, spill_slot: int, spill_lines: int
-) -> tuple[tuple, tuple, tuple]:
-    addr = AddressMap.local_line(warp_uid, spill_slot % spill_lines)
-    return (
-        (OP_ST_LOCAL, addr, 4, None, None),
-        (OP_LD_LOCAL, addr, 4, TAG_SPILL, None),
-        (OP_ALU, cal.SPILL_CONSUME_ALU, 0, None, TAG_SPILL),
-    )
+    def op(kind: int, sectors: int = 0, tag: int = -1,
+           dep: int = -1) -> None:
+        kinds.append(kind)
+        b.append(sectors)
+        tags.append(tag)
+        deps.append(dep)
 
-
-def _make_prefetch_program(
-    kind: str,
-    amap: AddressMap,
-    sample: int,
-    col_off: int,
-    flat_begin: int,
-    rows: list[int],
-    warp_uid: int,
-    distance: int,
-    spill_pairs: float,
-    spill_lines: int,
-) -> WarpProgram:
-    addr_alu = cal.ADDR_CALC_ALU
-    consume_alu = cal.ACCUM_ALU + cal.PF_CONSUME_EXTRA_ALU[kind]
-    trigger_alu = cal.PF_TRIGGER_ALU
-    idx_base = amap.index_addr(flat_begin)
-    local_line = AddressMap.local_line
-
-    def gen() -> Iterator[tuple]:
-        yield (OP_LD_GLOBAL, amap.offsets_addr(sample), 1, TAG_OFF, None)
-        yield (OP_ALU, cal.PROLOGUE_ALU, 0, None, TAG_OFF)
-        n = len(rows)
-        spill_acc = 0.0
-        spill_slot = 0
-        i = 0
-        while i < n:
-            batch = distance if i + distance <= n else n - i
-            yield (OP_ALU, trigger_alu, 0, None, None)
-            # --- prefetch burst: gather loads issued back-to-back ------
-            if kind == "l1d":
-                for j in range(batch):
-                    yield (OP_LD_GLOBAL, idx_base + 8 * (i + j), 1,
-                           TAG_IDX, None)
-                    yield (OP_ALU, cal.L1DPF_BURST_ALU, 0, None, TAG_IDX)
-                    yield (OP_PREFETCH_L1,
-                           amap.row_addr(rows[i + j], col_off), 4,
-                           None, None)
-            else:
-                for j in range(batch):
-                    yield (OP_LD_GLOBAL, idx_base + 8 * (i + j), 1,
-                           TAG_IDX, None)
-                    yield (OP_ALU, addr_alu, 0, None, TAG_IDX)
-                    yield (OP_LD_GLOBAL,
-                           amap.row_addr(rows[i + j], col_off), 4,
-                           TAG_PF_BASE + j, None)
-            # --- park the burst in the buffer station -------------------
-            if kind == "shared":
-                for j in range(batch):
-                    yield (OP_ST_SHARED, 0, 0, None, TAG_PF_BASE + j)
-            elif kind == "local":
-                for j in range(batch):
-                    yield (OP_ST_LOCAL,
-                           local_line(warp_uid, LMPF_SLOT_BASE + j), 4,
-                           None, TAG_PF_BASE + j)
-            # --- consume one iteration at a time ------------------------
-            for j in range(batch):
-                if kind == "register":
-                    yield (OP_ALU, consume_alu, 0, None, TAG_PF_BASE + j)
-                elif kind == "shared":
-                    yield (OP_LD_SHARED, 0, 0, TAG_SMEM, None)
-                    yield (OP_ALU, consume_alu, 0, None, TAG_SMEM)
-                elif kind == "local":
-                    yield (OP_LD_LOCAL,
-                           local_line(warp_uid, LMPF_SLOT_BASE + j), 4,
-                           TAG_LOCAL_PF, None)
-                    yield (OP_ALU, consume_alu, 0, None, TAG_LOCAL_PF)
-                else:  # l1d: the demand loop runs in full, hitting L1
-                    yield (OP_LD_GLOBAL, idx_base + 8 * (i + j), 1,
-                           TAG_IDX, None)
-                    yield (OP_ALU, addr_alu, 0, None, TAG_IDX)
-                    yield (OP_LD_GLOBAL,
-                           amap.row_addr(rows[i + j], col_off), 4,
-                           TAG_PF_BASE, None)
-                    yield (OP_ALU, consume_alu, 0, None, TAG_PF_BASE)
-                spill_acc += spill_pairs
-                while spill_acc >= 1.0:
-                    spill_acc -= 1.0
-                    for op in _spill_ops(warp_uid, spill_slot, spill_lines):
-                        yield op
-                    spill_slot += 1
-            i += batch
-        yield (OP_ALU, cal.EPILOGUE_ALU, 0, None, None)
-        yield (OP_ST_GLOBAL, amap.output_addr(sample, col_off), 4,
-               None, None)
-
-    return gen
-
-
-def _emit_prefetch_warp(
-    builder: TraceBuilder,
-    kind: str,
-    amap: AddressMap,
-    sample: int,
-    col_off: int,
-    flat_begin: int,
-    rows: list[int],
-    warp_uid: int,
-    distance: int,
-    spill_pairs: float,
-    spill_lines: int,
-) -> None:
-    """Lower one prefetching warp straight into the trace builder.
-
-    Op-for-op the stream of :func:`_make_prefetch_program`; the builder
-    fuses the dependency-free trigger/epilogue ALU ops into the
-    preceding consume burst as they are appended.
-    """
-    addr_alu = cal.ADDR_CALC_ALU
-    consume_alu = cal.ACCUM_ALU + cal.PF_CONSUME_EXTRA_ALU[kind]
-    trigger_alu = cal.PF_TRIGGER_ALU
-    idx_base = amap.index_addr(flat_begin)
-    row_base = amap.row_addr(0) + col_off
-    row_bytes = amap.row_bytes
-    local_line = AddressMap.local_line
-
-    # Direct column appends (the emit-per-op path is too slow for the
-    # hot builders); the only fusion opportunities in this stream are
-    # the dependency-free trigger and epilogue ALU ops, which always
-    # follow an ALU burst and are folded in by hand below.
-    kind_col = builder.kind
-    a_col = builder.a
-    b_col = builder.b
-    tag_col = builder.tag
-    dep_col = builder.dep
-
-    def alu(cycles: int, dep: int) -> None:
-        kind_col.append(OP_ALU)
-        a_col.append(cycles)
-        b_col.append(0)
-        tag_col.append(-1)
-        dep_col.append(dep)
-
-    kind_col.append(OP_LD_GLOBAL)
-    a_col.append(amap.offsets_addr(sample))
-    b_col.append(1)
-    tag_col.append(TAG_OFF)
-    dep_col.append(-1)
-    alu(cal.PROLOGUE_ALU, TAG_OFF)
-    n = len(rows)
-    spill_acc = 0.0
-    spill_slot = 0
-    i = 0
-    while i < n:
-        batch = distance if i + distance <= n else n - i
-        a_col[-1] += trigger_alu  # fused: previous op is always an ALU
-        # --- prefetch burst: gather loads issued back-to-back ------
-        if kind == "l1d":
-            kind_col.extend(_L1D_BURST_KINDS * batch)
-            a_col.extend(x for j in range(batch) for x in (
-                idx_base + 8 * (i + j), cal.L1DPF_BURST_ALU,
-                row_base + rows[i + j] * row_bytes,
-            ))
-            b_col.extend(_BURST_B * batch)
-            tag_col.extend(_BURST_TAG_FIXED * batch)
-            dep_col.extend(_BURST_DEP * batch)
-        else:
-            kind_col.extend(_BURST_KINDS * batch)
-            a_col.extend(x for j in range(batch) for x in (
-                idx_base + 8 * (i + j), addr_alu,
-                row_base + rows[i + j] * row_bytes,
-            ))
-            b_col.extend(_BURST_B * batch)
-            tag_col.extend(x for j in range(batch) for x in (
-                TAG_IDX, -1, TAG_PF_BASE + j,
-            ))
-            dep_col.extend(_BURST_DEP * batch)
-        # --- park the burst in the buffer station -------------------
-        if kind == "shared":
-            kind_col.extend((OP_ST_SHARED,) * batch)
-            a_col.extend((0,) * batch)
-            b_col.extend((0,) * batch)
-            tag_col.extend((-1,) * batch)
-            dep_col.extend(TAG_PF_BASE + j for j in range(batch))
-        elif kind == "local":
-            kind_col.extend((OP_ST_LOCAL,) * batch)
-            a_col.extend(
-                local_line(warp_uid, LMPF_SLOT_BASE + j)
-                for j in range(batch)
-            )
-            b_col.extend((4,) * batch)
-            tag_col.extend((-1,) * batch)
-            dep_col.extend(TAG_PF_BASE + j for j in range(batch))
-        # --- consume one iteration at a time ------------------------
+    op(OP_LD_GLOBAL, 1, TAG_OFF)
+    op(OP_ALU, dep=TAG_OFF)
+    for i in range(0, n, distance):
+        batch = min(distance, n - i)
+        # --- prefetch burst: gather loads issued back-to-back ----------
         for j in range(batch):
-            if kind == "register":
-                alu(consume_alu, TAG_PF_BASE + j)
-            elif kind == "shared":
-                kind_col.append(OP_LD_SHARED)
-                a_col.append(0)
-                b_col.append(0)
-                tag_col.append(TAG_SMEM)
-                dep_col.append(-1)
-                alu(consume_alu, TAG_SMEM)
-            elif kind == "local":
-                kind_col.append(OP_LD_LOCAL)
-                a_col.append(local_line(warp_uid, LMPF_SLOT_BASE + j))
-                b_col.append(4)
-                tag_col.append(TAG_LOCAL_PF)
-                dep_col.append(-1)
-                alu(consume_alu, TAG_LOCAL_PF)
+            op(OP_LD_GLOBAL, 1, TAG_IDX)
+            op(OP_ALU, dep=TAG_IDX)
+            if station == "l1d":
+                op(OP_PREFETCH_L1, 4)
+            else:
+                op(OP_LD_GLOBAL, 4, TAG_PF_BASE + j)
+        # --- park the burst in the buffer station -----------------------
+        for j in range(batch):
+            if station == "shared":
+                op(OP_ST_SHARED, dep=TAG_PF_BASE + j)
+            elif station == "local":
+                op(OP_ST_LOCAL, 4, dep=TAG_PF_BASE + j)
+        # --- consume one iteration at a time ----------------------------
+        for j in range(batch):
+            if station == "register":
+                op(OP_ALU, dep=TAG_PF_BASE + j)
+            elif station == "shared":
+                op(OP_LD_SHARED, tag=TAG_SMEM)
+                op(OP_ALU, dep=TAG_SMEM)
+            elif station == "local":
+                op(OP_LD_LOCAL, 4, TAG_LOCAL_PF)
+                op(OP_ALU, dep=TAG_LOCAL_PF)
             else:  # l1d: the demand loop runs in full, hitting L1
-                kind_col.extend(_BURST_KINDS)
-                a_col.extend((
-                    idx_base + 8 * (i + j), addr_alu,
-                    row_base + rows[i + j] * row_bytes,
-                ))
-                b_col.extend(_BURST_B)
-                tag_col.extend((TAG_IDX, -1, TAG_PF_BASE))
-                dep_col.extend(_BURST_DEP)
-                alu(consume_alu, TAG_PF_BASE)
-            spill_acc += spill_pairs
-            while spill_acc >= 1.0:
-                spill_acc -= 1.0
-                addr = local_line(warp_uid, spill_slot % spill_lines)
-                spill_slot += 1
-                kind_col.extend(_SPILL_KINDS)
-                a_col.extend((addr, addr, cal.SPILL_CONSUME_ALU))
-                b_col.extend(_SPILL_B)
-                tag_col.extend(_SPILL_TAG)
-                dep_col.extend(_SPILL_DEP)
-        i += batch
-    a_col[-1] += cal.EPILOGUE_ALU  # fused: previous op is always an ALU
-    kind_col.append(OP_ST_GLOBAL)
-    a_col.append(amap.output_addr(sample, col_off))
-    b_col.append(4)
-    tag_col.append(-1)
-    dep_col.append(-1)
-
-
-# Column patterns for the prefetch burst (index load -> address ALU ->
-# row load / L1 prefetch), repeated ``batch`` times per trigger.
-_BURST_KINDS = (OP_LD_GLOBAL, OP_ALU, OP_LD_GLOBAL)
-_L1D_BURST_KINDS = (OP_LD_GLOBAL, OP_ALU, OP_PREFETCH_L1)
-_BURST_B = (1, 0, 4)
-_BURST_TAG_FIXED = (TAG_IDX, -1, -1)
-_BURST_DEP = (-1, TAG_IDX, -1)
+                op(OP_LD_GLOBAL, 1, TAG_IDX)
+                op(OP_ALU, dep=TAG_IDX)
+                op(OP_LD_GLOBAL, 4, TAG_PF_BASE)
+                op(OP_ALU, dep=TAG_PF_BASE)
+            for _ in range(spill_counts[i + j]):
+                op(OP_ST_LOCAL, 4)
+                op(OP_LD_LOCAL, 4, TAG_SPILL)
+                op(OP_ALU, dep=TAG_SPILL)
+    op(OP_ST_GLOBAL, 4)
+    return shape
 
 
 def build_prefetch_trace(
@@ -312,43 +116,98 @@ def build_prefetch_trace(
     *,
     warp_uid_base: int = 0,
 ) -> CompiledTrace:
-    """Compiled trace for every warp of a prefetching kernel launch."""
+    """Compiled trace for every warp of a prefetching kernel launch.
+
+    Per warp: the offsets load and prologue ALU; then, per trigger group
+    of up to ``d`` rows, the trigger ALU, a burst of ``d`` back-to-back
+    gather loads, their parking in the buffer station, and ``d``
+    consume steps, each followed by its register-spill round-trips; the
+    epilogue ALU and the output store close the warp.  A warp's op
+    shape — its kind, operand-B, tag and dep columns — depends only on
+    how many rows it gathers, so each shape is built once per launch
+    (:func:`_prefetch_shape`) and extended onto the columns; per warp
+    only operand A is computed, in the same order.  The trigger and
+    epilogue ALU ops carry no dependency and always follow an ALU
+    burst, so they are fused into it.
+    """
     if build.prefetch is None:
         raise ValueError("kernel build has no prefetch scheme")
+    station = build.prefetch
+    distance = build.prefetch_distance
     spill_pairs, spill_lines = spill_state(build)
+    row_bytes = amap.row_bytes
+    burst_alu = (
+        cal.L1DPF_BURST_ALU if station == "l1d" else cal.ADDR_CALC_ALU
+    )
+    addr_alu = cal.ADDR_CALC_ALU
+    consume_alu = cal.ACCUM_ALU + cal.PF_CONSUME_EXTRA_ALU[station]
+    spill_alu = cal.SPILL_CONSUME_ALU
+    trigger_alu = cal.PF_TRIGGER_ALU
+    local_line = AddressMap.local_line
+    row_base = amap.row_addr(0)
+
+    spill_counts = spill_schedule(
+        spill_pairs, int(np.diff(trace.offsets).max())
+    )
+    shapes: dict[int, tuple[list, list, list, list]] = {}
+
     builder = TraceBuilder()
+    kind_col = builder.kind
+    a_col = builder.a
+    b_col = builder.b
+    tag_col = builder.tag
+    dep_col = builder.dep
+    end_warp = builder.end_warp
+
     uid = warp_uid_base
-    for sample, col_off, begin, rows in iter_warp_work(
-            trace, amap.row_bytes):
-        _emit_prefetch_warp(
-            builder, build.prefetch, amap, sample, col_off, begin, rows,
-            uid, build.prefetch_distance, spill_pairs, spill_lines,
-        )
-        builder.end_warp()
+    for sample, col_off, begin, rows in iter_warp_work(trace, row_bytes):
+        n = len(rows)
+        shape = shapes.get(n)
+        if shape is None:
+            shape = shapes[n] = _prefetch_shape(
+                station, n, distance, spill_counts
+            )
+        kind_col.extend(shape[0])
+        b_col.extend(shape[1])
+        tag_col.extend(shape[2])
+        dep_col.extend(shape[3])
+
+        chunk_base = row_base + col_off
+        row_addrs = [chunk_base + row * row_bytes for row in rows]
+        idx_base = amap.index_addr(begin)
+        spill_addrs = [
+            local_line(uid, slot) for slot in range(spill_lines)
+        ]
+        lmpf_addrs = [
+            local_line(uid, LMPF_SLOT_BASE + j) for j in range(distance)
+        ]
+        a_col.extend((amap.offsets_addr(sample), cal.PROLOGUE_ALU))
+        spill_slot = 0
+        for i in range(0, n, distance):
+            batch = distance if i + distance <= n else n - i
+            a_col[-1] += trigger_alu  # fused into the burst before it
+            for k in range(i, i + batch):
+                a_col.extend((idx_base + 8 * k, burst_alu, row_addrs[k]))
+            if station == "shared":
+                a_col.extend((0,) * batch)
+            elif station == "local":
+                a_col.extend(lmpf_addrs[:batch])
+            for k in range(i, i + batch):
+                if station == "register":
+                    a_col.append(consume_alu)
+                elif station == "shared":
+                    a_col.extend((0, consume_alu))
+                elif station == "local":
+                    a_col.extend((lmpf_addrs[k - i], consume_alu))
+                else:  # l1d: the demand loop
+                    a_col.extend((idx_base + 8 * k, addr_alu,
+                                  row_addrs[k], consume_alu))
+                for _ in range(spill_counts[k]):
+                    addr = spill_addrs[spill_slot % spill_lines]
+                    spill_slot += 1
+                    a_col.extend((addr, addr, spill_alu))
+        a_col[-1] += cal.EPILOGUE_ALU  # fused into the burst before it
+        a_col.append(amap.output_addr(sample, col_off))
+        end_warp()
         uid += 1
     return builder.build()
-
-
-def build_prefetch_programs(
-    trace: EmbeddingTrace,
-    build: KernelBuild,
-    amap: AddressMap,
-    *,
-    warp_uid_base: int = 0,
-) -> list[WarpProgram]:
-    """Programs for every warp of a prefetching kernel launch."""
-    if build.prefetch is None:
-        raise ValueError("kernel build has no prefetch scheme")
-    spill_pairs, spill_lines = spill_state(build)
-    programs: list[WarpProgram] = []
-    uid = warp_uid_base
-    for sample, col_off, begin, rows in iter_warp_work(
-            trace, amap.row_bytes):
-        programs.append(
-            _make_prefetch_program(
-                build.prefetch, amap, sample, col_off, begin, rows,
-                uid, build.prefetch_distance, spill_pairs, spill_lines,
-            )
-        )
-        uid += 1
-    return programs

@@ -1,10 +1,4 @@
-"""Dispatch from a compiled kernel build to its warp-program builder.
-
-Every kernel variant has two equivalent emitters: generator programs
-(:func:`build_programs`, the engine's reference path) and structured
-compiled traces (:func:`build_trace`, the fast path).  Callers that
-only want the simulation result should prefer :func:`build_trace`.
-"""
+"""Dispatch from a compiled kernel build to its trace builder."""
 
 from __future__ import annotations
 
@@ -12,29 +6,8 @@ from repro.datasets.trace import EmbeddingTrace
 from repro.gpusim.trace import CompiledTrace
 from repro.kernels.address_map import AddressMap
 from repro.kernels.compiler import KernelBuild
-from repro.kernels.embedding_bag import (
-    WarpProgram,
-    build_base_programs,
-    build_base_trace,
-)
-from repro.kernels.prefetch import build_prefetch_programs, build_prefetch_trace
-
-
-def build_programs(
-    trace: EmbeddingTrace,
-    build: KernelBuild,
-    amap: AddressMap,
-    *,
-    warp_uid_base: int = 0,
-) -> list[WarpProgram]:
-    """Warp programs for one table's kernel launch under any variant."""
-    if build.prefetch is None:
-        return build_base_programs(
-            trace, build, amap, warp_uid_base=warp_uid_base
-        )
-    return build_prefetch_programs(
-        trace, build, amap, warp_uid_base=warp_uid_base
-    )
+from repro.kernels.embedding_bag import build_base_trace
+from repro.kernels.prefetch import build_prefetch_trace
 
 
 def build_trace(
@@ -44,7 +17,8 @@ def build_trace(
     *,
     warp_uid_base: int = 0,
 ) -> CompiledTrace:
-    """Compiled warp trace for one table's kernel launch (fast path)."""
+    """Compiled warp trace for one table's kernel launch under any
+    variant."""
     if build.prefetch is None:
         return build_base_trace(
             trace, build, amap, warp_uid_base=warp_uid_base

@@ -1,14 +1,15 @@
-"""Differential fuzzing: compiled fast path == reference engine.
+"""Differential fuzzing: ``run_kernel`` == the test-only reference.
 
-``tests/gpusim/test_trace_compile.py`` pins the two executors to
-identical statistics on a curated scheme lineup; this suite widens the
-net with *randomized* kernel configurations — scheme knobs
-(prefetch kind/distance, register caps, pinning), dataset hotness,
-and workload shape (batch, pooling, table size, trace seed) are all
-drawn from seeded RNG streams (:mod:`tests.gpusim.kernel_cases`) — and
-asserts, case by case, that the compiled executor's ``RawKernelStats``
-and the full memory-hierarchy counter state are field-identical to the
-generator-driven reference.
+``tests/gpusim/test_trace_compile.py`` pins the library's executor and
+trace builders to :mod:`tests.gpusim.reference_engine` on a curated
+scheme lineup; this suite widens the net with *randomized* kernel
+configurations — scheme knobs (prefetch kind/distance, register caps,
+pinning), dataset hotness, and workload shape (batch, pooling, table
+size, trace seed) are all drawn from seeded RNG streams
+(:mod:`tests.gpusim.kernel_cases`) — and asserts, case by case, that
+``run_kernel`` on the built trace gives ``RawKernelStats`` and a full
+memory-hierarchy counter state field-identical to the generator-driven
+reference executor on the generator programs.
 
 The first ``SMOKE_CASES`` draws always run (they fold into the tier-1
 suite and cover every prefetch station); the remaining draws up to
@@ -24,8 +25,9 @@ import pytest
 
 from repro.gpusim.engine import run_kernel
 from repro.gpusim.profiler import HierarchyStats
-from repro.kernels.registry import build_programs, build_trace
+from repro.kernels.registry import build_trace
 from tests.gpusim.kernel_cases import draw_case, fuzz_case_params, fuzz_launch
+from tests.gpusim.reference_engine import build_programs, run_reference
 
 
 @pytest.mark.fuzz
@@ -34,16 +36,12 @@ def test_compiled_engine_matches_reference(case):
     launch = fuzz_launch(case)
     trace, build, amap = launch.trace, launch.build, launch.amap
     results = []
-    for reference in (True, False):
+    for run, programs in (
+        (run_reference, build_programs(trace, build, amap)),
+        (run_kernel, build_trace(trace, build, amap)),
+    ):
         hierarchy = launch.hierarchy()
-        programs = (
-            build_programs(trace, build, amap) if reference
-            else build_trace(trace, build, amap)
-        )
-        stats = run_kernel(
-            launch.gpu, hierarchy, programs,
-            reference=reference, **launch.run_args(),
-        )
+        stats = run(launch.gpu, hierarchy, programs, **launch.run_args())
         results.append((
             dataclasses.asdict(stats),
             dataclasses.asdict(HierarchyStats.capture(hierarchy)),

@@ -1,4 +1,8 @@
-"""The event-driven engine: hand-crafted warp programs with known timing."""
+"""The event-driven engine: hand-crafted warp programs with known timing.
+
+Programs are written as generators of ISA 5-tuples and lowered with the
+test-only ``compile_programs`` before they run.
+"""
 
 import pytest
 
@@ -14,6 +18,7 @@ from repro.gpusim.isa import (
     st_global,
     st_shared,
 )
+from tests.gpusim.reference_engine import compile_programs
 
 GPU = A100_SXM4_80GB.scaled_slice(1)
 TABLE = 1 << 35
@@ -22,7 +27,7 @@ TABLE = 1 << 35
 def run(programs, warps_per_sm=8, set_aside=0):
     hierarchy = MemoryHierarchy(GPU, l2_set_aside_bytes=set_aside)
     stats = run_kernel(
-        GPU, hierarchy, programs,
+        GPU, hierarchy, compile_programs(programs),
         warps_per_sm=warps_per_sm, warps_per_block=1,
     )
     return stats, hierarchy
@@ -146,6 +151,28 @@ class TestBlockScheduling:
     def test_zero_occupancy_rejected(self):
         with pytest.raises(ValueError):
             run([program(alu(1))], warps_per_sm=0)
+
+    @pytest.mark.parametrize("warps_per_block, message", [
+        (0, "warps_per_block=0, warps_per_sm=8"),
+        (-8, "warps_per_block=-8, warps_per_sm=8"),
+        (16, "warps_per_block=16, warps_per_sm=8"),
+    ], ids=["zero", "negative", "larger-than-resident"])
+    def test_block_size_outside_resident_warps_rejected(
+        self, warps_per_block, message
+    ):
+        trace = compile_programs([program(alu(1)) for _ in range(32)])
+        with pytest.raises(ValueError, match=message):
+            run_kernel(
+                GPU, MemoryHierarchy(GPU), trace,
+                warps_per_sm=8, warps_per_block=warps_per_block,
+            )
+
+    def test_generator_programs_rejected(self):
+        with pytest.raises(TypeError, match="CompiledTrace"):
+            run_kernel(
+                GPU, MemoryHierarchy(GPU), [program(alu(1))],
+                warps_per_sm=8, warps_per_block=1,
+            )
 
     def test_empty_warp_program_retires_cleanly(self):
         stats, _ = run([program(), program(alu(5))])

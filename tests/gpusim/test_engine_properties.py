@@ -12,6 +12,7 @@ from repro.gpusim.isa import (
     OP_LD_SHARED,
     OP_ST_GLOBAL,
 )
+from tests.gpusim.reference_engine import compile_programs
 
 GPU = A100_SXM4_80GB.scaled_slice(1)
 TABLE = 1 << 35
@@ -45,7 +46,7 @@ def run(raw_programs, warps_per_sm=8):
     programs = [materialize(p) for p in raw_programs]
     hierarchy = MemoryHierarchy(GPU)
     return run_kernel(
-        GPU, hierarchy, programs,
+        GPU, hierarchy, compile_programs(programs),
         warps_per_sm=warps_per_sm, warps_per_block=1,
     )
 
@@ -121,6 +122,7 @@ class TestWaveStress:
         programs = [materialize([(OP_ALU, 1, 0, None)])] * 13
         hierarchy = MemoryHierarchy(GPU)
         stats = run_kernel(
-            GPU, hierarchy, programs, warps_per_sm=8, warps_per_block=4,
+            GPU, hierarchy, compile_programs(programs),
+            warps_per_sm=8, warps_per_block=4,
         )
         assert stats.n_warps == 13

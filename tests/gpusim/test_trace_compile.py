@@ -1,25 +1,23 @@
-"""Compiled-trace fast path: equivalence with the generator reference
-path, trace lowering fidelity, and the kernel-result memo layer.
+"""Trace lowering and the one executor, against the test-only
+reference; and the kernel-result memo layer.
 
 The contract under test: for every kernel variant the repo can build,
-the compiled executor produces ``RawKernelStats`` *identical field for
-field* to the generator-driven reference executor, on identical
-hierarchy state — so every figure the harness regenerates is invariant
-to which engine path ran it.
+the library's trace builders emit exactly the op stream of the readable
+generator programs in :mod:`tests.gpusim.reference_engine`, and
+``run_kernel`` produces ``RawKernelStats`` *identical field for field*
+to the generator-driven reference executor, on identical hierarchy
+state.  ``tests/golden/kernels.json`` pins the same lineup's numbers.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.config.gpu import A100_SXM4_80GB
-from repro.config.scale import SimScale
-from repro.core.embedding import kernel_workload, run_table_kernel
+from repro.core.embedding import run_table_kernel
 from repro.core.schemes import Scheme
 from repro.datasets.generator import generate_trace
 from repro.datasets.spec import HOTNESS_PRESETS
 from repro.gpusim.engine import run_kernel
-from repro.gpusim.hierarchy import MemoryHierarchy
 from repro.gpusim.isa import OP_ALU, OP_LD_GLOBAL
 from repro.gpusim.memo import (
     KernelMemo,
@@ -27,43 +25,28 @@ from repro.gpusim.memo import (
     memo_key,
 )
 from repro.gpusim.profiler import HierarchyStats
-from repro.gpusim.trace import CompiledTrace, TraceBuilder, compile_programs
-from repro.kernels import calibration as cal
-from repro.kernels.address_map import STREAMING_RANGE, AddressMap
-from repro.kernels.pinning import (
-    build_pin_kernel_programs,
-    build_pin_kernel_trace,
-    pin_hot_rows,
-    profile_hot_rows,
+from repro.gpusim.trace import TraceBuilder
+from repro.kernels.address_map import AddressMap
+from repro.kernels.pinning import build_pin_kernel_trace, profile_hot_rows
+from repro.kernels.registry import build_trace
+from tests.gpusim.kernel_cases import (
+    CURATED_SCHEMES,
+    PINNED_SCHEME,
+    curated_launch,
+    curated_workload,
 )
-from repro.kernels.registry import build_programs, build_trace
-
-GPU_SLICE = 2
-
-#: Every kernel shape the repo can emit: baseline, OptMT (spilled), all
-#: four prefetch stations (with and without heavy spilling).
-SCHEMES = [
-    Scheme(),
-    Scheme(optmt=True),
-    Scheme(prefetch="register", optmt=True),
-    Scheme(prefetch="shared", optmt=True),
-    Scheme(prefetch="local", optmt=True),
-    Scheme(prefetch="l1d", optmt=True),
-    Scheme(maxrregcount=40),
-    Scheme(prefetch="register", maxrregcount=32),
-    Scheme(prefetch="shared"),
-]
+from tests.gpusim.reference_engine import (
+    build_pin_kernel_programs,
+    build_programs,
+    compile_programs,
+    run_reference,
+    to_programs,
+)
 
 
 @pytest.fixture(scope="module")
 def workload():
-    return kernel_workload(
-        A100_SXM4_80GB,
-        scale=SimScale("trace-test", GPU_SLICE),
-        batch_size=16,
-        pooling_factor=12,
-        table_rows=4096,
-    )
+    return curated_workload()
 
 
 @pytest.fixture(scope="module")
@@ -80,105 +63,55 @@ def traces(workload):
     }
 
 
-def make_hierarchy(workload, build, *, set_aside=0):
-    hierarchy = MemoryHierarchy(
-        workload.gpu,
-        l2_set_aside_bytes=set_aside,
-        streaming_range=STREAMING_RANGE,
-    )
-    local_lines = build.spilled_regs + (
-        build.prefetch_distance if build.prefetch == "local" else 0
-    )
-    hierarchy.configure_local_memory(
-        local_lines * 128 * build.warps_per_sm,
-        int(workload.full_gpu.l1_bytes * cal.LOCAL_L1_BUDGET_FRACTION),
-    )
-    return hierarchy
-
-
 def hierarchy_snapshot(hierarchy):
     return dataclasses.asdict(HierarchyStats.capture(hierarchy))
 
 
+def run_both(launch):
+    """(stats, hierarchy snapshot) from the reference executor on the
+    generator programs, then from ``run_kernel`` on the built trace."""
+    results = []
+    for run, programs in (
+        (run_reference,
+         build_programs(launch.trace, launch.build, launch.amap)),
+        (run_kernel, build_trace(launch.trace, launch.build, launch.amap)),
+    ):
+        hierarchy = launch.hierarchy()
+        stats = run(launch.gpu, hierarchy, programs, **launch.run_args())
+        results.append(
+            (dataclasses.asdict(stats), hierarchy_snapshot(hierarchy))
+        )
+    return results
+
+
 class TestCompiledEquivalence:
     @pytest.mark.parametrize(
-        "scheme", SCHEMES, ids=lambda s: s.name or "base"
+        "scheme", CURATED_SCHEMES, ids=lambda s: s.name or "base"
     )
     @pytest.mark.parametrize("dataset", ["med_hot", "random"])
-    def test_stats_identical_to_reference(
-        self, workload, traces, dataset, scheme
-    ):
-        """Compiled path == generator path, field for field, plus the
-        full memory-hierarchy counter state."""
-        trace = traces[dataset]
-        build = scheme.compile(workload.gpu)
-        amap = AddressMap(row_bytes=workload.row_bytes)
-
-        h_ref = make_hierarchy(workload, build)
-        ref = run_kernel(
-            workload.gpu, h_ref, build_programs(trace, build, amap),
-            warps_per_sm=build.warps_per_sm,
-            warps_per_block=build.warps_per_block,
-            reference=True,
-        )
-        h_fast = make_hierarchy(workload, build)
-        fast = run_kernel(
-            workload.gpu, h_fast, build_trace(trace, build, amap),
-            warps_per_sm=build.warps_per_sm,
-            warps_per_block=build.warps_per_block,
-        )
-        assert dataclasses.asdict(fast) == dataclasses.asdict(ref)
-        assert hierarchy_snapshot(h_fast) == hierarchy_snapshot(h_ref)
+    def test_stats_identical_to_reference(self, dataset, scheme):
+        """``run_kernel`` == the reference executor, field for field,
+        plus the full memory-hierarchy counter state."""
+        ref, fast = run_both(curated_launch(scheme, dataset))
+        assert fast == ref
 
     @pytest.mark.parametrize(
-        "scheme", SCHEMES, ids=lambda s: s.name or "base"
+        "scheme", CURATED_SCHEMES, ids=lambda s: s.name or "base"
     )
-    def test_structured_builders_match_lowered_generators(
-        self, workload, traces, scheme
-    ):
-        """The direct trace builders emit exactly the op stream of the
+    def test_structured_builders_match_lowered_generators(self, scheme):
+        """The trace builders emit exactly the op stream of the
         generator programs, fused the same way."""
-        trace = traces["med_hot"]
-        build = scheme.compile(workload.gpu)
-        amap = AddressMap(row_bytes=workload.row_bytes)
-        structured = build_trace(trace, build, amap)
-        lowered = compile_programs(build_programs(trace, build, amap))
+        launch = curated_launch(scheme, "med_hot")
+        args = (launch.trace, launch.build, launch.amap)
+        structured = build_trace(*args)
+        lowered = compile_programs(build_programs(*args))
         assert structured == lowered
         assert structured.fingerprint() == lowered.fingerprint()
 
-    def test_pinned_kernel_equivalence(self, workload, traces):
+    def test_pinned_kernel_equivalence(self):
         """The L2-pinning variant: pinned hierarchy state, both paths."""
-        scheme = Scheme(l2_pinning=True, optmt=True)
-        trace = traces["med_hot"]
-        build = scheme.compile(workload.gpu)
-        amap = AddressMap(row_bytes=workload.row_bytes)
-        set_aside = workload.gpu.l2_set_aside_bytes
-        hot = profile_hot_rows(
-            HOTNESS_PRESETS["med_hot"],
-            batch_size=workload.batch_size,
-            pooling_factor=workload.pooling_factor,
-            table_rows=workload.table_rows,
-            k=64,
-            seed=0,
-        )
-        results = []
-        for reference in (True, False):
-            hierarchy = make_hierarchy(workload, build, set_aside=set_aside)
-            pin_hot_rows(hierarchy, hot, amap)
-            programs = (
-                build_programs(trace, build, amap) if reference
-                else build_trace(trace, build, amap)
-            )
-            stats = run_kernel(
-                workload.gpu, hierarchy, programs,
-                warps_per_sm=build.warps_per_sm,
-                warps_per_block=build.warps_per_block,
-                reference=reference,
-            )
-            results.append(
-                (dataclasses.asdict(stats), hierarchy_snapshot(hierarchy))
-            )
-        assert results[0] == results[1]
+        ref, fast = run_both(curated_launch(PINNED_SCHEME, "med_hot"))
+        assert fast == ref
 
     def test_pin_kernel_trace_matches_programs(self, workload):
         hot = profile_hot_rows(
@@ -195,47 +128,38 @@ class TestCompiledEquivalence:
         lowered = compile_programs(build_pin_kernel_programs(hot, amap, gpu))
         assert structured == lowered
 
-    def test_unfused_trace_runs_identically(self, workload, traces):
+    def test_unfused_trace_runs_identically(self):
         """Runtime ALU coalescing makes fused and unfused encodings of
         the same program execute identically."""
-        trace = traces["med_hot"]
-        build = Scheme(optmt=True).compile(workload.gpu)
-        amap = AddressMap(row_bytes=workload.row_bytes)
-        fused = compile_programs(build_programs(trace, build, amap))
-        unfused = compile_programs(
-            build_programs(trace, build, amap), fuse=False
-        )
+        launch = curated_launch(Scheme(optmt=True), "med_hot")
+        args = (launch.trace, launch.build, launch.amap)
+        fused = compile_programs(build_programs(*args))
+        unfused = compile_programs(build_programs(*args), fuse=False)
         assert unfused.n_ops > fused.n_ops
         out = []
         for compiled in (fused, unfused):
-            hierarchy = make_hierarchy(workload, build)
             stats = run_kernel(
-                workload.gpu, hierarchy, compiled,
-                warps_per_sm=build.warps_per_sm,
-                warps_per_block=build.warps_per_block,
+                launch.gpu, launch.hierarchy(), compiled,
+                **launch.run_args(),
             )
             out.append(dataclasses.asdict(stats))
         assert out[0] == out[1]
 
-    def test_run_kernel_dispatch_paths_agree(self, workload, traces):
-        """Generators through the default path are lowered and produce
-        the same result as an explicit trace or the reference flag."""
-        trace = traces["med_hot"]
-        build = Scheme().compile(workload.gpu)
-        amap = AddressMap(row_bytes=workload.row_bytes)
+    def test_run_kernel_dispatch_paths_agree(self):
+        """Built and lowered traces through ``run_kernel``, and programs
+        or a trace through the reference, all agree."""
+        launch = curated_launch(Scheme(), "med_hot")
+        args = (launch.trace, launch.build, launch.amap)
         outs = []
-        for programs, reference in (
-            (build_programs(trace, build, amap), None),
-            (build_programs(trace, build, amap), True),
-            (build_trace(trace, build, amap), None),
-            (build_trace(trace, build, amap), True),
+        for run, programs in (
+            (run_kernel, build_trace(*args)),
+            (run_kernel, compile_programs(build_programs(*args))),
+            (run_reference, build_programs(*args)),
+            (run_reference, build_trace(*args)),
         ):
-            hierarchy = make_hierarchy(workload, build)
-            stats = run_kernel(
-                workload.gpu, hierarchy, programs,
-                warps_per_sm=build.warps_per_sm,
-                warps_per_block=build.warps_per_block,
-                reference=reference,
+            stats = run(
+                launch.gpu, launch.hierarchy(), programs,
+                **launch.run_args(),
             )
             outs.append(dataclasses.asdict(stats))
         assert outs[0] == outs[1] == outs[2] == outs[3]
@@ -246,7 +170,7 @@ class TestTraceStructure:
         build = Scheme(prefetch="register", optmt=True).compile(workload.gpu)
         amap = AddressMap(row_bytes=workload.row_bytes)
         ct = build_trace(traces["med_hot"], build, amap)
-        assert compile_programs(ct.to_programs()) == ct
+        assert compile_programs(to_programs(ct)) == ct
 
     def test_fingerprint_stable_and_content_addressed(
         self, workload, traces
@@ -296,21 +220,6 @@ class TestTraceStructure:
         ct = builder.build()
         assert ct.n_warps == 2
         assert ct.warp_starts == [0, 0, 1]
-
-    def test_exec_form_counts_match_run(self, workload, traces):
-        build = Scheme(optmt=True).compile(workload.gpu)
-        amap = AddressMap(row_bytes=workload.row_bytes)
-        ct = build_trace(traces["med_hot"], build, amap)
-        _, counts = ct.exec_form()
-        hierarchy = make_hierarchy(workload, build)
-        stats = run_kernel(
-            workload.gpu, hierarchy, ct,
-            warps_per_sm=build.warps_per_sm,
-            warps_per_block=build.warps_per_block,
-        )
-        assert stats.issued_insts == counts["issued"]
-        assert stats.alu_insts == counts["alu"]
-        assert stats.ld_local_insts == counts["ld_local"]
 
 
 class TestKernelMemo:

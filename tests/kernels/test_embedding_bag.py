@@ -14,12 +14,12 @@ from repro.gpusim.isa import (
 from repro.kernels.address_map import STREAMING_RANGE, AddressMap
 from repro.kernels.compiler import compile_kernel
 from repro.kernels.embedding_bag import (
-    build_base_programs,
     expected_global_loads,
     iter_warp_work,
     warps_per_sample,
 )
 from tests.conftest import make_trace
+from tests.gpusim.reference_engine import build_base_programs
 
 AMAP = AddressMap(row_bytes=512)
 

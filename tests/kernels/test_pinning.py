@@ -8,7 +8,6 @@ from repro.datasets.spec import HOTNESS_PRESETS
 from repro.gpusim.hierarchy import MemoryHierarchy
 from repro.kernels.address_map import AddressMap
 from repro.kernels.pinning import (
-    build_pin_kernel_programs,
     hot_row_lines,
     pin_hot_rows,
     pinnable_rows,
@@ -17,6 +16,7 @@ from repro.kernels.pinning import (
     simulate_pin_kernel,
 )
 from tests.conftest import make_trace
+from tests.gpusim.reference_engine import build_pin_kernel_programs
 
 AMAP = AddressMap(row_bytes=512)
 GPU = A100_SXM4_80GB.scaled_slice(2)

@@ -13,8 +13,8 @@ from repro.gpusim.isa import (
 )
 from repro.kernels.address_map import AddressMap
 from repro.kernels.compiler import compile_kernel
-from repro.kernels.prefetch import build_prefetch_programs
 from tests.conftest import make_trace
+from tests.gpusim.reference_engine import build_prefetch_programs
 
 AMAP = AddressMap(row_bytes=512)
 POOL = 12
