@@ -233,7 +233,7 @@ def _run_compiled(
             if queues[sm]:
                 start_block(sm, queues[sm].popleft(), 0.0)
 
-    heappush, heappop = heapq.heappush, heapq.heappop
+    heappop = heapq.heappop
     load = hierarchy.load
     load_local = hierarchy.load_local
     store = hierarchy.store
@@ -251,94 +251,97 @@ def _run_compiled(
     local_in_l1 = not hierarchy.local_overflow
     local_reads = local_writes = 0
 
+    heappushpop = heapq.heappushpop
     while heap:
         t, _, wi, pc = heappop(heap)
-        smsp = w_smsp[wi]
-        nf = smsp_next_free[smsp]
-        if nf > t:
-            stall_ns += nf - t
-            t = nf
+        # Each pass issues one op of warp ``wi``; the warp is then pushed
+        # back and the earliest event popped in one heappushpop, until a
+        # warp retires and the outer loop pops the next event.
+        while True:
+            smsp = w_smsp[wi]
+            nf = smsp_next_free[smsp]
+            if nf > t:
+                stall_ns += nf - t
+                t = nf
 
-        kind = op_kind[pc]
-        if kind == OP_ALU:
-            # runtime burst coalescing (same rule as the builders' ALU
-            # fusion, so fused and unfused traces agree)
-            a_v = op_a[pc]
-            pc += 1
-            end = starts[wi + 1]
-            while pc < end and op_kind[pc] == OP_ALU and op_dep[pc] < 0:
-                a_v += op_a[pc]
+            kind = op_kind[pc]
+            if kind == OP_ALU:
+                # runtime burst coalescing (same rule as the builders'
+                # ALU fusion, so fused and unfused traces agree)
+                a_v = op_a[pc]
                 pc += 1
-            n_alu += a_v
-            avail = t + a_v
-        else:
-            a_v = op_a[pc]
-            b_v = op_b[pc]
-            if kind == OP_LD_GLOBAL:
-                sm = w_sm[wi]
-                if (
-                    stream_lo <= a_v < stream_hi
-                    and (a_v >> line_shift) in stream_seen[sm]
-                ):
-                    l1_hits[sm] += b_v
-                    w_pending[wi][op_tag[pc]] = t + lat_l1
-                else:
-                    w_pending[wi][op_tag[pc]] = load(sm, a_v, b_v, t)
-            elif kind == OP_LD_LOCAL:
-                if local_in_l1:
-                    local_reads += b_v
-                    l1_hits[w_sm[wi]] += b_v
-                    w_pending[wi][op_tag[pc]] = t + lat_l1
-                else:
-                    w_pending[wi][op_tag[pc]] = load_local(
-                        w_sm[wi], a_v, b_v, t
-                    )
-            elif kind == OP_ST_LOCAL:
-                if local_in_l1:
-                    local_writes += b_v
-                else:
-                    store(w_sm[wi], a_v, b_v, t, local=True)
-            elif kind == OP_LD_SHARED:
-                tag_v = op_tag[pc]
-                w_pending[wi][tag_v] = t + lat_shared
-                w_short[wi].add(tag_v)
-            elif kind == OP_ST_GLOBAL:
-                store(w_sm[wi], a_v, b_v, t)
-            elif kind == OP_ST_SHARED:
-                pass
-            elif kind == OP_PREFETCH_L1:
-                pf_l1(w_sm[wi], a_v, b_v, t)
-            elif kind == OP_PREFETCH_L2:
-                pf_l2(a_v, b_v, t)
+                end = starts[wi + 1]
+                while pc < end and op_kind[pc] == OP_ALU and op_dep[pc] < 0:
+                    a_v += op_a[pc]
+                    pc += 1
+                n_alu += a_v
+                avail = t + a_v
             else:
-                raise ValueError(f"unknown micro-op kind {kind}")
-            avail = t + 1
-            pc += 1
-            end = starts[wi + 1]
-        smsp_next_free[smsp] = avail
-
-        if pc == end:
-            _retire(wi, avail)
-            continue
-
-        # one-step scoreboard scheduling for the next op
-        dep = op_dep[pc]
-        if dep >= 0:
-            dep_ready = w_pending[wi].pop(dep, None)
-            if dep_ready is not None:
-                if dep_ready > avail:
-                    if track_short and dep in w_short[wi]:
-                        stall_short += dep_ready - avail
-                        w_short[wi].discard(dep)
+                a_v = op_a[pc]
+                b_v = op_b[pc]
+                if kind == OP_LD_GLOBAL:
+                    sm = w_sm[wi]
+                    if (
+                        stream_lo <= a_v < stream_hi
+                        and (a_v >> line_shift) in stream_seen[sm]
+                    ):
+                        l1_hits[sm] += b_v
+                        w_pending[wi][op_tag[pc]] = t + lat_l1
                     else:
-                        stall_long += dep_ready - avail
-                    seq += 1
-                    heappush(heap, (dep_ready, seq, wi, pc))
-                    continue
-                if track_short:
-                    w_short[wi].discard(dep)
-        seq += 1
-        heappush(heap, (avail, seq, wi, pc))
+                        w_pending[wi][op_tag[pc]] = load(sm, a_v, b_v, t)
+                elif kind == OP_LD_LOCAL:
+                    if local_in_l1:
+                        local_reads += b_v
+                        l1_hits[w_sm[wi]] += b_v
+                        w_pending[wi][op_tag[pc]] = t + lat_l1
+                    else:
+                        w_pending[wi][op_tag[pc]] = load_local(
+                            w_sm[wi], a_v, b_v, t
+                        )
+                elif kind == OP_ST_LOCAL:
+                    if local_in_l1:
+                        local_writes += b_v
+                    else:
+                        store(w_sm[wi], a_v, b_v, t, local=True)
+                elif kind == OP_LD_SHARED:
+                    tag_v = op_tag[pc]
+                    w_pending[wi][tag_v] = t + lat_shared
+                    w_short[wi].add(tag_v)
+                elif kind == OP_ST_GLOBAL:
+                    store(w_sm[wi], a_v, b_v, t)
+                elif kind == OP_ST_SHARED:
+                    pass
+                elif kind == OP_PREFETCH_L1:
+                    pf_l1(w_sm[wi], a_v, b_v, t)
+                elif kind == OP_PREFETCH_L2:
+                    pf_l2(a_v, b_v, t)
+                else:
+                    raise ValueError(f"unknown micro-op kind {kind}")
+                avail = t + 1
+                pc += 1
+                end = starts[wi + 1]
+            smsp_next_free[smsp] = avail
+
+            if pc == end:
+                _retire(wi, avail)
+                break
+
+            # one-step scoreboard scheduling for the next op
+            dep = op_dep[pc]
+            if dep >= 0:
+                dep_ready = w_pending[wi].pop(dep, None)
+                if dep_ready is not None:
+                    if dep_ready > avail:
+                        if track_short and dep in w_short[wi]:
+                            stall_short += dep_ready - avail
+                            w_short[wi].discard(dep)
+                        else:
+                            stall_long += dep_ready - avail
+                        avail = dep_ready
+                    elif track_short:
+                        w_short[wi].discard(dep)
+            seq += 1
+            t, _, wi, pc = heappushpop(heap, (avail, seq, wi, pc))
 
     for sm in range(num_sms):
         if l1_hits[sm]:
