@@ -233,3 +233,15 @@ def curated_launch(scheme: Scheme, dataset: str) -> Launch:
     return Launch(
         "kernel", workload, trace, scheme.compile(workload.gpu), hot_rows,
     )
+
+
+def pin_kernel_rows(workload: KernelWorkload) -> np.ndarray:
+    """The hot rows the curated pin-kernel launch pins."""
+    return profile_hot_rows(
+        HOTNESS_PRESETS["high_hot"],
+        batch_size=workload.batch_size,
+        pooling_factor=workload.pooling_factor,
+        table_rows=workload.table_rows,
+        k=32,
+        seed=1,
+    )

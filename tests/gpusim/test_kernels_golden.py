@@ -27,16 +27,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.datasets.spec import HOTNESS_PRESETS
 from repro.gpusim.engine import run_kernel
 from repro.gpusim.hierarchy import MemoryHierarchy
 from repro.gpusim.profiler import HierarchyStats
 from repro.kernels.address_map import AddressMap
-from repro.kernels.pinning import (
-    build_pin_kernel_trace,
-    profile_hot_rows,
-    simulate_pin_kernel,
-)
+from repro.kernels.pinning import build_pin_kernel_trace, simulate_pin_kernel
 from repro.kernels.registry import build_trace
 from tests.gpusim.kernel_cases import (
     CURATED_LAUNCHES,
@@ -44,6 +39,7 @@ from tests.gpusim.kernel_cases import (
     curated_workload,
     fuzz_case_params,
     fuzz_launch,
+    pin_kernel_rows,
 )
 
 GOLDEN_PATH = Path(__file__).parent.parent / "golden" / "kernels.json"
@@ -103,14 +99,7 @@ def test_curated_launch_matches_golden(dataset, scheme):
 def test_pin_kernel_matches_golden():
     workload = curated_workload()
     gpu = workload.gpu
-    hot = profile_hot_rows(
-        HOTNESS_PRESETS["high_hot"],
-        batch_size=workload.batch_size,
-        pooling_factor=workload.pooling_factor,
-        table_rows=workload.table_rows,
-        k=32,
-        seed=1,
-    )
+    hot = pin_kernel_rows(workload)
     amap = AddressMap(row_bytes=workload.row_bytes)
     hierarchy = MemoryHierarchy(
         gpu, l2_set_aside_bytes=gpu.l2_set_aside_bytes

@@ -27,13 +27,14 @@ from repro.gpusim.memo import (
 from repro.gpusim.profiler import HierarchyStats
 from repro.gpusim.trace import TraceBuilder
 from repro.kernels.address_map import AddressMap
-from repro.kernels.pinning import build_pin_kernel_trace, profile_hot_rows
+from repro.kernels.pinning import build_pin_kernel_trace
 from repro.kernels.registry import build_trace
 from tests.gpusim.kernel_cases import (
     CURATED_SCHEMES,
     PINNED_SCHEME,
     curated_launch,
     curated_workload,
+    pin_kernel_rows,
 )
 from tests.gpusim.reference_engine import (
     build_pin_kernel_programs,
@@ -114,14 +115,7 @@ class TestCompiledEquivalence:
         assert fast == ref
 
     def test_pin_kernel_trace_matches_programs(self, workload):
-        hot = profile_hot_rows(
-            HOTNESS_PRESETS["high_hot"],
-            batch_size=workload.batch_size,
-            pooling_factor=workload.pooling_factor,
-            table_rows=workload.table_rows,
-            k=32,
-            seed=1,
-        )
+        hot = pin_kernel_rows(workload)
         amap = AddressMap(row_bytes=workload.row_bytes)
         gpu = workload.gpu
         structured = build_pin_kernel_trace(hot, amap, gpu)
