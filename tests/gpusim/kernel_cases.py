@@ -11,9 +11,9 @@ Two families of launches:
   (baseline, OptMT, all four prefetch stations, heavy spilling) on
   ``med_hot`` and ``random``, plus an L2-pinned launch.
 
-A :class:`Launch` lowers its trace and builds a fresh, configured (and,
-for pinning schemes, pre-pinned) memory hierarchy on demand, so two
-runs of one launch start from identical state.
+A :class:`Launch` builds a fresh, configured (and, for pinning
+schemes, pre-pinned) memory hierarchy on demand, so two runs of one
+launch start from identical state.
 """
 
 from __future__ import annotations
