@@ -10,6 +10,11 @@ It is slow and obviously correct, which is all it is for.
 Power-of-two draws its candidate pair with one ``rng.choice`` per
 arrival, as it always did; pass ``pairs`` (one ``(a, b)`` per arrival)
 to replay another sample path through the same comparison instead.
+
+Every enqueue re-decides the pending batch with a full ``next_batch``
+call; pass ``dues`` (a list) to collect every replica's due time as
+each arrival finds it, the lists the router's ``RouterState.due`` must
+match.
 """
 
 from __future__ import annotations
@@ -119,8 +124,12 @@ SELECT = {
 
 
 def reference_route(fleet, latency_models, times, phase_ids, policy, *,
-                    seed=0, pairs=None):
-    """Route ``times`` with the named policy; the drained replicas."""
+                    seed=0, pairs=None, dues=None):
+    """Route ``times`` with the named policy; the drained replicas.
+
+    With ``dues`` given, one list of per-replica due times is appended
+    per arrival, after the due batches are committed and before the
+    policy picks."""
     curves = resolve_latency_models(fleet, latency_models)
     replicas = [ReplicaState(r, curves[r.name]) for r in fleet.replicas]
     rng = np.random.default_rng([seed, 0x617])
@@ -137,6 +146,8 @@ def reference_route(fleet, latency_models, times, phase_ids, policy, *,
         for replica in replicas:
             if replica.due < now:
                 replica.advance(now)
+        if dues is not None:
+            dues.append([replica.due for replica in replicas])
         replicas[select(replicas, now, k, pick)].enqueue(now, phase)
     for replica in replicas:
         replica.advance(math.inf)

@@ -14,6 +14,14 @@ The grid is 5 shapes x 3 batchers x 3 fleets x 4 policies.  Each
 picked so every fleet size appears; the rest of the grid and the long
 hypothesis run are the extended set, skipped unless
 ``REPRO_FUZZ_FULL=1`` (CI runs them in a dedicated step).
+
+A second differential pins the pending batch decision itself: at every
+arrival, each replica's ``RouterState.due`` must equal the due time the
+reference recomputes with a full ``next_batch`` after every enqueue.
+Its grid adds three edge batchers (``max_batch=1``, ``timeout_ms=0``
+and ``ContinuousBatching(max_batch=1)``) and runs the three state-aware
+policies; each (shape, batcher) pair runs one fleet size and one policy
+in the default suite.
 """
 
 import os
@@ -24,7 +32,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config.gpu import A100_SXM4_80GB, H100_NVL
 from repro.core.serving import BatchingPolicy, ContinuousBatching
-from repro.fleet.router import resolve_policy, simulate_fleet_stream
+from repro.fleet.router import (
+    RoutingPolicy,
+    resolve_policy,
+    simulate_fleet_stream,
+)
 from repro.fleet.topology import FleetSpec
 from repro.telemetry.sinks import CaptureSink
 from repro.traffic.scenario import (
@@ -185,3 +197,116 @@ def test_router_matches_reference_on_random_streams(**case):
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_router_matches_reference_on_random_streams_extended(**case):
     _check_random_case(**case)
+
+
+# ----------------------------------------------------------------------
+# the pending decision: RouterState.due against next_batch per enqueue
+# ----------------------------------------------------------------------
+#: the batchers above plus the edge cases of the decision: every arrival
+#: fills its batch, the timeout expires on arrival, and a continuous
+#: batch of one
+DUE_BATCHERS = {
+    **BATCHERS,
+    "max-batch-1": BatchingPolicy(max_batch=1, timeout_ms=5.0),
+    "timeout-0": BatchingPolicy(max_batch=8, timeout_ms=0.0),
+    "continuous-1": ContinuousBatching(max_batch=1),
+}
+STATE_AWARE = ("jsq", "least-latency", "power-of-two")
+
+
+class _RecordDue(RoutingPolicy):
+    """Routes like ``policy`` and keeps a copy of ``RouterState.due`` as
+    each arrival finds it."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.name = policy.name
+        self.dues = []
+
+    def start(self, n_replicas, n_arrivals, rng):
+        return self.policy.start(n_replicas, n_arrivals, rng)
+
+    def select(self, state, now, k):
+        self.dues.append(list(state.due))
+        return self.policy.select(state, now, k)
+
+
+def assert_due_matches_reference(fleet, models, stream, routing, seed=0):
+    recorder = _RecordDue(resolve_policy(routing))
+    simulate_fleet_stream(fleet, models, stream, policy=recorder,
+                          sla_ms=SLA_MS, seed=seed, sink=CaptureSink())
+    policy = recorder.policy
+    pairs = (
+        list(zip(policy.first, policy.second))
+        if routing == "power-of-two" else None
+    )
+    expected = []
+    reference_route(
+        fleet, models, stream.times, stream.phase_ids, routing,
+        seed=seed, pairs=pairs, dues=expected,
+    )
+    assert len(recorder.dues) == len(expected) == len(stream.times)
+    for k, (got, want) in enumerate(zip(recorder.dues, expected)):
+        assert got == want, (
+            f"arrival {k} at {stream.times[k]!r} s: router due {got}, "
+            f"next_batch after every enqueue {want}"
+        )
+
+
+def _due_grid():
+    shapes = list(SCENARIO_PROFILES)
+    fleet_sizes = list(FLEETS)
+    for s, shape in enumerate(shapes):
+        for b, batcher in enumerate(DUE_BATCHERS):
+            smoke = (fleet_sizes[(s + b) % len(fleet_sizes)],
+                     STATE_AWARE[(s + 2 * b) % len(STATE_AWARE)])
+            for n_replicas in fleet_sizes:
+                for routing in STATE_AWARE:
+                    marks = []
+                    if (n_replicas, routing) != smoke:
+                        marks.append(pytest.mark.fuzz_extended)
+                        if not _RUN_FULL:
+                            marks.append(pytest.mark.skip(
+                                reason="extended router differential; "
+                                       "set REPRO_FUZZ_FULL=1"
+                            ))
+                    yield pytest.param(
+                        shape, batcher, n_replicas, routing,
+                        id=f"{shape}-{batcher}-{n_replicas}x-{routing}",
+                        marks=marks,
+                    )
+
+
+@pytest.mark.parametrize("shape, batcher, n_replicas, routing",
+                         _due_grid())
+def test_router_due_matches_next_batch(shape, batcher, n_replicas, routing):
+    assert_due_matches_reference(
+        _fleet(n_replicas, DUE_BATCHERS[batcher]), MODELS,
+        _scenario(shape, n_replicas), routing, seed=3,
+    )
+
+
+_due_cases = dict(_cases, routing=st.sampled_from(STATE_AWARE))
+
+
+def _check_random_due_case(times, n_replicas, max_batch, timeout_ms,
+                           routing, batcher, seed):
+    fleet = _random_fleet(n_replicas, max_batch, timeout_ms, batcher)
+    assert_due_matches_reference(fleet, _RANDOM_MODELS, _Stream(times),
+                                 routing, seed=seed)
+
+
+@given(**_due_cases)
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_router_due_matches_next_batch_on_random_streams(**case):
+    _check_random_due_case(**case)
+
+
+@pytest.mark.fuzz_extended
+@pytest.mark.skipif(not _RUN_FULL,
+                    reason="extended router differential; "
+                           "set REPRO_FUZZ_FULL=1")
+@given(**_due_cases)
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_router_due_matches_next_batch_on_random_streams_extended(**case):
+    _check_random_due_case(**case)
