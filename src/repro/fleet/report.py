@@ -21,6 +21,7 @@ from repro.core.serving import (
     ReportSlaMixin,
     ServingReport,
     find_phase,
+    latency_tails,
     phase_breakdown,
 )
 from repro.telemetry.events import BatchBlock, FleetRun
@@ -112,14 +113,15 @@ def build_fleet_report(
         int(np.count_nonzero(latencies_ms <= sla_ms))
         if sla_ms is not None else n
     )
+    p50, p95, p99 = latency_tails(latencies_ms)
     return FleetReport(
         fleet_name=fleet_name,
         policy=policy,
         qps=qps,
         n_queries=n,
-        p50_ms=float(np.percentile(latencies_ms, 50)),
-        p95_ms=float(np.percentile(latencies_ms, 95)),
-        p99_ms=float(np.percentile(latencies_ms, 99)),
+        p50_ms=p50,
+        p95_ms=p95,
+        p99_ms=p99,
         replica_reports=replica_reports,
         cost_units=cost_units,
         sla_ms=sla_ms,
@@ -143,17 +145,14 @@ def _fold_replica_report(
     lat_ms = 1e3 * (done_at - member_times)
     served = len(lat_ms)
     busy = float(sum(block.exec_s.tolist()))
-    pct = (
-        (lambda q: float(np.percentile(lat_ms, q))) if served
-        else (lambda q: 0.0)
-    )
+    p50, p95, p99 = latency_tails(lat_ms) if served else (0.0, 0.0, 0.0)
     return ServingReport(
         scheme_name=block.replica or "replica",
         qps=served / horizon if horizon > 0 else 0.0,
         n_queries=served,
-        p50_ms=pct(50),
-        p95_ms=pct(95),
-        p99_ms=pct(99),
+        p50_ms=p50,
+        p95_ms=p95,
+        p99_ms=p99,
         mean_batch_size=(
             float(np.mean(block.sizes)) if len(block) else 0.0
         ),

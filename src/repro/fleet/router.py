@@ -17,8 +17,10 @@ weighs each replica's speed, which is what makes heterogeneous fleets
 (A100 next to H100) behave: an oblivious router feeds the slow replicas
 the same load as the fast ones and their tail blows up first.  These
 state-aware policies pick arrival by arrival from the router's flat
-per-replica lists (:class:`RouterState`); the router advances a replica
-only when its pending batch is due.
+per-replica lists (:class:`RouterState`); the router keeps each
+replica's pending batch decision current with the batcher's O(1) join
+rule (:func:`~repro.core.serving.join_rule`) and calls ``next_batch``
+only when a batch commits.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from repro.core.curve import LatencyCurve, LatencyModel, as_curve
 from repro.core.serving import (
     _serve_arrays,
     check_stream,
+    commit_size,
+    join_rule,
     next_batch,
     poisson_arrivals,
 )
@@ -55,6 +59,8 @@ class RouterState:
     is when its pending batch dispatches (inf while the queue is empty);
     ``work[r]`` is the GPU seconds predicted to serve its queue plus one
     more query.  The router keeps them current; policies only read them.
+    ``work`` is kept only for a policy that reads it
+    (:attr:`RoutingPolicy.reads_work`); otherwise it is None.
     """
 
     __slots__ = ("depth", "free", "due", "work")
@@ -63,65 +69,58 @@ class RouterState:
         self.depth = [0] * n_replicas
         self.free = [0.0] * n_replicas
         self.due = [math.inf] * n_replicas
-        self.work = [0.0] * n_replicas
+        self.work: list[float] | None = [0.0] * n_replicas
 
 
 class _ReplicaState:
     """One replica under the per-arrival router: its queue, its GPU
-    clock, its pending batch decision and its batch columns.
+    clock and its batch columns.
 
     The queue is the routed arrival times (and phase ids) from ``head``
-    on; dispatched queries stay in the lists as the batch members.
-    ``due``/``size`` cache the pending batch decision (``due`` is inf
-    while the queue is empty).
+    on; dispatched queries stay in the lists as the batch members.  The
+    pending batch's due time lives in :attr:`RouterState.due`, kept
+    current by the router with the batcher's join rule; a batch is sized
+    only when it commits, and :func:`next_batch` decides afresh only for
+    a queue that a commit left non-empty.
     """
 
     __slots__ = (
-        "spec", "curve", "latency_ms", "times", "phases", "head",
-        "gpu_free", "due", "size",
-        "batch_starts", "batch_exec", "batch_sizes",
+        "spec", "curve", "size", "latency_ms", "times", "phases", "head",
+        "gpu_free", "batch_starts", "batch_exec", "batch_sizes",
     )
 
     def __init__(self, spec: ReplicaSpec, curve: LatencyCurve) -> None:
         self.spec = spec
         self.curve = curve
+        self.size = commit_size(spec.batching)
         self.latency_ms = curve.ms[:spec.batching.max_batch + 1].tolist()
         self.times: list[float] = []
         self.phases: list[int] = []
         self.head = 0
         self.gpu_free = 0.0
-        self.due = math.inf
-        self.size = 0
         self.batch_starts: list[float] = []
         self.batch_exec: list[float] = []
         self.batch_sizes: list[int] = []
 
-    def enqueue(self, arrival: float, phase: int) -> None:
-        self.times.append(arrival)
-        self.phases.append(phase)
-        self._decide()
-
-    def _decide(self) -> None:
-        """Re-decide the pending batch off the current queue."""
-        if self.head < len(self.times):
-            self.due, self.size = next_batch(
-                self.spec.batching, self.times, self.head, self.gpu_free,
-                self.curve,
-            )
-        else:
-            self.due = math.inf
-
-    def advance(self, now: float) -> None:
-        """Commit every pending batch due strictly before ``now``: no
-        arrival at ``now`` or later can join it any more."""
-        while self.due < now:
-            exec_s = self.latency_ms[self.size] / 1e3
-            self.gpu_free = self.due + exec_s
-            self.batch_starts.append(self.due)
+    def advance(self, due: float, now: float) -> float:
+        """Commit every batch due strictly before ``now``, from the
+        pending one at ``due``: no arrival at ``now`` or later can join
+        it any more.  Returns the next pending due time (inf once the
+        queue is empty)."""
+        times = self.times
+        while due < now:
+            size = self.size(times, self.head, due, self.curve)
+            exec_s = self.latency_ms[size] / 1e3
+            self.gpu_free = due + exec_s
+            self.batch_starts.append(due)
             self.batch_exec.append(exec_s)
-            self.batch_sizes.append(self.size)
-            self.head += self.size
-            self._decide()
+            self.batch_sizes.append(size)
+            self.head += size
+            due = next_batch(
+                self.spec.batching, times, self.head, self.gpu_free,
+                self.curve,
+            )[0] if self.head < len(times) else math.inf
+        return due
 
     def work_s(self, depth: int) -> float:
         """Predicted GPU seconds to serve ``depth`` waiting queries plus
@@ -161,9 +160,16 @@ class RoutingPolicy:
     arrival order, with the router's :class:`RouterState` lists as they
     stand at that arrival.  Either way, a replica index outside
     ``0..n_replicas-1`` is rejected with a ``ValueError``.
+
+    A state-aware policy declares the state it reads: ``reads_work``
+    says whether :meth:`select` reads :attr:`RouterState.work`.  It
+    defaults to True, so a policy that declares nothing never reads
+    stale predictions; one that sets it False gets ``work = None``, and
+    the router skips predicting work on every enqueue.
     """
 
     name = "policy"
+    reads_work = True
 
     def start(
         self,
@@ -195,6 +201,7 @@ class JoinShortestQueuePolicy(RoutingPolicy):
     the smaller backlog, then to the lower index."""
 
     name = "jsq"
+    reads_work = False
 
     def select(self, state, now, k):
         depth = state.depth
@@ -220,6 +227,7 @@ class PowerOfTwoPolicy(RoutingPolicy):
     """
 
     name = "power-of-two"
+    reads_work = False
 
     def start(self, n_replicas, n_arrivals, rng):
         if n_replicas == 1:
@@ -377,39 +385,49 @@ def _route_each_arrival(
     """Route arrival by arrival, then drain every replica.
 
     The router keeps each replica's depth, GPU-free time, due time and
-    predicted work in :class:`RouterState` lists and advances replicas
+    (for a policy that reads it) predicted work in :class:`RouterState`
+    lists.  An enqueue updates them in O(1), the due time through the
+    replica's join rule; replicas are advanced, and their batches sized,
     only once the earliest due time falls before the arrival at hand.
     """
     replicas = [_ReplicaState(s, curves[s.name]) for s in fleet.replicas]
+    joins = [join_rule(s.batching) for s in fleet.replicas]
     n_replicas = len(replicas)
     state = RouterState(n_replicas)
-    depth, free, due, work = state.depth, state.free, state.due, state.work
-    work[:] = [replica.work_s(0) for replica in replicas]
+    depth, free, due = state.depth, state.free, state.due
+    if router.reads_work:
+        work = state.work
+        work[:] = [replica.work_s(0) for replica in replicas]
+    else:
+        work = state.work = None
     select = router.select
     next_due = math.inf
     for k, (now, phase) in enumerate(zip(times.tolist(), phase_ids.tolist())):
-        if next_due < now:
-            for r, replica in enumerate(replicas):
-                if due[r] < now:
-                    replica.advance(now)
-                    free[r] = replica.gpu_free
-                    due[r] = replica.due
-                    depth[r] = len(replica.times) - replica.head
-                    work[r] = replica.work_s(depth[r])
+        while next_due < now:
+            r = due.index(next_due)
+            replica = replicas[r]
+            due[r] = replica.advance(next_due, now)
+            free[r] = replica.gpu_free
+            depth[r] = len(replica.times) - replica.head
+            if work is not None:
+                work[r] = replica.work_s(depth[r])
             next_due = min(due)
         r = select(state, now, k)
         if not 0 <= r < n_replicas:
             raise _bad_choice(router, k, r, n_replicas)
         replica = replicas[r]
-        replica.enqueue(now, phase)
-        depth[r] += 1
-        work[r] = replica.work_s(depth[r])
-        due[r] = replica.due
-        if replica.due < next_due:
-            next_due = replica.due
+        replica.times.append(now)
+        replica.phases.append(phase)
+        queued = depth[r] + 1
+        depth[r] = queued
+        pending = due[r] = joins[r](due[r], queued, now, free[r])
+        if pending < next_due:
+            next_due = pending
+        if work is not None:
+            work[r] = replica.work_s(queued)
     blocks = []
-    for replica in replicas:
-        replica.advance(math.inf)
+    for replica, pending in zip(replicas, due):
+        replica.advance(pending, math.inf)
         blocks.append(replica.to_block(phases))
     return blocks
 

@@ -40,6 +40,11 @@ class ReplicaSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("replica name must be non-empty")
+        if not isinstance(self.batching, (BatchingPolicy, ContinuousBatching)):
+            raise TypeError(
+                f"replica {self.name!r}: batching must be a BatchingPolicy "
+                f"or ContinuousBatching, got {self.batching!r}"
+            )
 
     @property
     def cost_units(self) -> float:

@@ -89,6 +89,24 @@ class TestSimulateServing:
             BatchingPolicy(max_batch=0)
         with pytest.raises(ValueError):
             BatchingPolicy(timeout_ms=-1)
+        # a non-finite timeout would leave a queued batch never due
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=rf"timeout_ms .*{bad!r}"):
+                BatchingPolicy(timeout_ms=bad)
+        for batcher in (BatchingPolicy, ContinuousBatching):
+            with pytest.raises(TypeError, match=r"max_batch .*2\.5"):
+                batcher(max_batch=2.5)
+            with pytest.raises(ValueError, match=r"max_batch .*-3"):
+                batcher(max_batch=-3)
+            assert batcher(max_batch=np.int64(8)).max_batch == 8
+
+    def test_continuous_batching_validation(self):
+        for bad in (float("nan"), float("inf"), 0.0, -5.0):
+            with pytest.raises(ValueError, match=rf"sla_ms .*{bad!r}"):
+                ContinuousBatching(sla_ms=bad)
+        with pytest.raises(ValueError, match="max_batch"):
+            ContinuousBatching(max_batch=0)
+        assert ContinuousBatching(sla_ms=None).sla_ms is None
 
 
 class TestSustainableQps:

@@ -11,6 +11,8 @@ from repro.core.serving import BatchingPolicy, serve_stream, simulate_serving
 from repro.fleet.router import (
     ROUTING_POLICIES,
     JoinShortestQueuePolicy,
+    LeastLatencyPolicy,
+    PowerOfTwoPolicy,
     RoutingPolicy,
     resolve_policy,
     simulate_fleet,
@@ -359,3 +361,29 @@ class TestPolicyChoiceBoundary:
             ValueError, match=r"as a float64 array of shape \(50,\)",
         ):
             self._route(policy)
+
+
+class _ReadsWorkUndeclared(LeastLatencyPolicy):
+    """least-latency's select under a declaration that it does not read
+    the predicted work."""
+
+    name = "undeclared"
+    reads_work = False
+
+
+class TestDeclaredState:
+    def test_policies_declare_the_state_they_read(self):
+        assert LeastLatencyPolicy.reads_work
+        assert not JoinShortestQueuePolicy.reads_work
+        assert not PowerOfTwoPolicy.reads_work
+        # a policy that declares nothing gets everything kept current
+        assert RoutingPolicy.reads_work
+
+    def test_reading_work_without_declaring_it_raises(self):
+        # the router keeps no work for this policy: reading it must fail,
+        # not return numbers from before the last enqueue
+        with pytest.raises(TypeError):
+            simulate_fleet(
+                mixed_fleet(), MODELS, qps=1000, duration_s=0.05,
+                policy=_ReadsWorkUndeclared(),
+            )

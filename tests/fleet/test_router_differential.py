@@ -22,6 +22,10 @@ Its grid adds three edge batchers (``max_batch=1``, ``timeout_ms=0``
 and ``ContinuousBatching(max_batch=1)``) and runs the three state-aware
 policies; each (shape, batcher) pair runs one fleet size and one policy
 in the default suite.
+
+A policy that declares nothing about the state it reads must get every
+list kept current: re-implementing least-latency's choice in such a
+policy routes batch for batch like least-latency itself.
 """
 
 import os
@@ -156,6 +160,40 @@ def test_router_matches_reference(shape, batcher, n_replicas, routing):
     )
 
 
+class _LeastLatencyLookalike(RoutingPolicy):
+    """least-latency's choice, re-implemented by a policy that declares
+    nothing about the state it reads."""
+
+    name = "least-latency-lookalike"
+
+    def select(self, state, now, k):
+        completion = [
+            max(free - now, 0.0) + work
+            for free, work in zip(state.free, state.work)
+        ]
+        return completion.index(min(completion))
+
+
+@pytest.mark.parametrize("shape, batcher, n_replicas", [
+    (shape, batcher, list(FLEETS)[(s + b) % len(FLEETS)])
+    for s, shape in enumerate(SCENARIO_PROFILES)
+    for b, batcher in enumerate(BATCHERS)
+])
+def test_undeclared_policy_sees_current_work(shape, batcher, n_replicas):
+    """A policy that declares nothing gets every list kept current, so
+    re-implementing least-latency routes batch for batch like it."""
+    fleet = _fleet(n_replicas, BATCHERS[batcher])
+    stream = _scenario(shape, n_replicas)
+    lookalike, _ = _route(fleet, MODELS, stream, _LeastLatencyLookalike())
+    builtin, _ = _route(fleet, MODELS, stream, "least-latency")
+    for got, want in zip(lookalike.replicas, builtin.replicas, strict=True):
+        for column in ("starts", "exec_s", "sizes", "member_times"):
+            np.testing.assert_array_equal(
+                getattr(got, column), getattr(want, column),
+                err_msg=f"{got.replica} {column}",
+            )
+
+
 # the property suite's random fleets (A100/H100 alternating, 1..8
 # replicas) on its stream strategy; the A100 curve crosses the suite's
 # 10 ms adaptive SLA at 13 queries, inside the drawn batch caps
@@ -221,6 +259,7 @@ class _RecordDue(RoutingPolicy):
     def __init__(self, policy):
         self.policy = policy
         self.name = policy.name
+        self.reads_work = policy.reads_work
         self.dues = []
 
     def start(self, n_replicas, n_arrivals, rng):

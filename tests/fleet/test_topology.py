@@ -25,6 +25,10 @@ class TestReplicaSpec:
         with pytest.raises(ValueError):
             ReplicaSpec(name="", gpu=A100_SXM4_80GB)
 
+    def test_batching_must_be_a_batcher(self):
+        with pytest.raises(TypeError, match="batching .*'fixed'"):
+            ReplicaSpec(name="r0", gpu=A100_SXM4_80GB, batching="fixed")
+
     def test_continuous_batching_replicas_serve(self):
         """Replicas take either batcher: a continuous (and SLA-adaptive)
         fleet routes and serves every query."""
