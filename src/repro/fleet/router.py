@@ -85,14 +85,14 @@ class _ReplicaState:
     """
 
     __slots__ = (
-        "spec", "curve", "size", "latency_ms", "times", "phases", "head",
-        "gpu_free", "batch_starts", "batch_exec", "batch_sizes",
+        "spec", "curve", "size_at_commit", "latency_ms", "times", "phases",
+        "head", "gpu_free", "batch_starts", "batch_exec", "batch_sizes",
     )
 
     def __init__(self, spec: ReplicaSpec, curve: LatencyCurve) -> None:
         self.spec = spec
         self.curve = curve
-        self.size = commit_size(spec.batching)
+        self.size_at_commit = commit_size(spec.batching)
         self.latency_ms = curve.ms[:spec.batching.max_batch + 1].tolist()
         self.times: list[float] = []
         self.phases: list[int] = []
@@ -109,7 +109,7 @@ class _ReplicaState:
         queue is empty)."""
         times = self.times
         while due < now:
-            size = self.size(times, self.head, due, self.curve)
+            size = self.size_at_commit(times, self.head, due, self.curve)
             exec_s = self.latency_ms[size] / 1e3
             self.gpu_free = due + exec_s
             self.batch_starts.append(due)
