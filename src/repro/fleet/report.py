@@ -132,17 +132,15 @@ def build_fleet_report(
 
 
 def _fold_replica_report(
-    block: BatchBlock, horizon: float
+    block: BatchBlock, lat_ms: np.ndarray, horizon: float
 ) -> ServingReport:
-    """One replica's :class:`ServingReport` folded from its batch block.
+    """One replica's :class:`ServingReport` folded from its batch block
+    and its members' latencies.
 
     ``ServingReport.scheme_name`` carries the *replica* name here: fleet
     consumers (routed_fractions, per-replica tables) identify rows by
     replica, and the kernel scheme lives on ``ReplicaSpec.scheme``.
     """
-    member_times, _ = block.members()
-    done_at = np.repeat(block.done, block.sizes)
-    lat_ms = 1e3 * (done_at - member_times)
     served = len(lat_ms)
     busy = float(sum(block.exec_s.tolist()))
     p50, p95, p99 = latency_tails(lat_ms) if served else (0.0, 0.0, 0.0)
@@ -178,17 +176,18 @@ def fold_fleet_report(run: FleetRun) -> FleetReport:
             (float(b.done[-1]) if len(b) else 0.0) for b in blocks
         ),
     )
-    replica_reports = tuple(
-        _fold_replica_report(b, horizon) for b in blocks
-    )
     lat_parts = []
     phase_parts = []
     for b in blocks:
         member_times, member_phases = b.members()
         done_at = np.repeat(b.done, b.sizes)
-        lat_parts.append(done_at - member_times)
+        lat_parts.append(1e3 * (done_at - member_times))
         phase_parts.append(np.asarray(member_phases, dtype=np.int64))
-    all_latencies_ms = 1e3 * np.concatenate(lat_parts)
+    replica_reports = tuple(
+        _fold_replica_report(b, lat_ms, horizon)
+        for b, lat_ms in zip(blocks, lat_parts)
+    )
+    all_latencies_ms = np.concatenate(lat_parts)
     if meta["kind"] == "fleet_stream":
         duration_s = meta["duration_s"]
         sla_ms = meta["sla_ms"]
