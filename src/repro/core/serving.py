@@ -290,7 +290,7 @@ def interpolated_latency_model(
 # the batching rule and the single-GPU event loop
 # ----------------------------------------------------------------------
 def _adaptive_batch(
-    curve: LatencyCurve,
+    ms: Sequence[float],
     times: Sequence[float],
     head: int,
     waiting: int,
@@ -298,7 +298,8 @@ def _adaptive_batch(
     sla_ms: float,
 ) -> int:
     """Goodput-greedy batch sizing under SLA pressure, over the
-    ``waiting`` oldest queued queries ``times[head:head + waiting]``.
+    ``waiting`` oldest queued queries ``times[head:head + waiting]``;
+    ``ms`` is the latency table, ``ms[b]`` for a batch of ``b``.
 
     Among candidate batch sizes, pick the one completing the most
     queries *within the SLA* per second of GPU time; ties go to the
@@ -319,12 +320,14 @@ def _adaptive_batch(
         size //= 2
     slack_ms = sla_ms - (start - times[head]) * 1e3
     for budget in (sla_ms, slack_ms):
-        fit = curve.fits_within(waiting, budget)
+        # the largest batch in 1..waiting whose latency fits the budget
+        # (0 if none): one search, as the validated table never drops
+        fit = bisect_right(ms, budget, 1, waiting + 1) - 1
         if fit:
             candidates.add(fit)
     best_size, best_key = waiting, (-1.0, -1.0)
     for size in sorted(candidates):
-        exec_batch_ms = float(curve.ms[size])
+        exec_batch_ms = ms[size]
         cutoff = start + (exec_batch_ms - sla_ms) / 1e3
         hits = size - (bisect_left(times, cutoff, head, head + size) - head)
         # primary: in-SLA completions per GPU-millisecond; secondary:
@@ -336,6 +339,64 @@ def _adaptive_batch(
     return best_size
 
 
+def batch_rule(
+    policy: BatchingPolicy | ContinuousBatching,
+) -> Callable[[Sequence[float], int, float, Sequence[float]],
+              tuple[float, int]]:
+    """The batching rule, chosen once per batcher and shared by the
+    single-GPU loop and every fleet replica: ``decide(times, head,
+    gpu_free, ms)`` is the (dispatch time, size) of the next batch off
+    the time-sorted queue ``times[head:]``, given when the GPU frees and
+    its latency table ``ms`` (indexed by batch size; only SLA-adaptive
+    sizing reads it, and only when more than one query waits).
+
+    An arrival at exactly the dispatch instant joins the batch.  Only
+    queries that arrived by the dispatch time matter, so a caller that
+    learns arrivals one by one may commit the decision once an arrival
+    lands strictly later.  Such a caller need not re-decide on every
+    arrival: :func:`join_rule` keeps the dispatch time current in O(1),
+    :func:`commit_size` sizes the batch when it commits, and ``decide``
+    is needed only for a fresh decision on a queue that a commit left
+    non-empty.
+    """
+    # the decisions take max and min as branches: the same values (ties
+    # keep the first argument, as max and min do), without the calls
+    max_batch = policy.max_batch
+    if isinstance(policy, ContinuousBatching):
+        sla_ms = policy.sla_ms
+
+        def decide(times: Sequence[float], head: int, gpu_free: float,
+                   ms: Sequence[float]) -> tuple[float, int]:
+            first = times[head]
+            start = first if first > gpu_free else gpu_free
+            waiting = bisect_right(times, start, head) - head
+            if waiting > max_batch:
+                waiting = max_batch
+            if sla_ms is None or waiting <= 1:
+                return start, waiting
+            return start, _adaptive_batch(
+                ms, times, head, waiting, start, sla_ms
+            )
+        return decide
+    timeout_s = policy.timeout_ms / 1e3
+
+    def decide(times: Sequence[float], head: int, gpu_free: float,
+               ms: Sequence[float]) -> tuple[float, int]:
+        # size-or-timeout: the batch closes when full, or at
+        # max(oldest + timeout, gpu_free) — arrivals during the GPU's
+        # busy period keep joining, exactly as a host-side queue would
+        threshold = times[head] + timeout_s
+        if gpu_free > threshold:
+            threshold = gpu_free
+        waiting = bisect_right(times, threshold, head) - head
+        if waiting >= max_batch:
+            # the batch fills when its last member arrives
+            full_at = times[head + max_batch - 1]
+            return (gpu_free if gpu_free > full_at else full_at), max_batch
+        return threshold, waiting
+    return decide
+
+
 def next_batch(
     policy: BatchingPolicy | ContinuousBatching,
     times: Sequence[float],
@@ -343,39 +404,16 @@ def next_batch(
     gpu_free: float,
     curve: LatencyCurve,
 ) -> tuple[float, int]:
-    """The batching rule, shared by the single-GPU loop and every fleet
-    replica: (dispatch time, size) of the next batch off the time-sorted
-    queue ``times[head:]``, given when the GPU frees and its latency
-    table (only SLA-adaptive sizing reads it).
+    """The batching rule in one call: :func:`batch_rule`'s decision for
+    ``policy`` on ``curve``'s table — the (dispatch time, size) of the
+    next batch off the time-sorted queue ``times[head:]``, given when
+    the GPU frees.
 
-    An arrival at exactly the dispatch instant joins the batch.  Only
-    queries that arrived by the dispatch time matter, so a caller that
-    learns arrivals one by one may commit the decision once an arrival
-    lands strictly later.  Such a caller need not re-decide on every
-    arrival: :func:`join_rule` keeps the dispatch time current in O(1),
-    :func:`commit_size` sizes the batch when it commits, and this
-    function is needed only for a fresh decision on a queue that a
-    commit left non-empty.
+    A caller deciding many batches under one batcher chooses the rule
+    once with :func:`batch_rule` instead, as the single-GPU loop and the
+    fleet router do.
     """
-    first = times[head]
-    if isinstance(policy, ContinuousBatching):
-        start = max(gpu_free, first)
-        waiting = min(bisect_right(times, start, head) - head,
-                      policy.max_batch)
-        if policy.sla_ms is None:
-            return start, waiting
-        return start, _adaptive_batch(
-            curve, times, head, waiting, start, policy.sla_ms
-        )
-    # size-or-timeout: the batch closes when full, or at
-    # max(oldest + timeout, gpu_free) — arrivals during the GPU's busy
-    # period keep joining, exactly as a host-side queue would
-    threshold = max(first + policy.timeout_ms / 1e3, gpu_free)
-    waiting = bisect_right(times, threshold, head) - head
-    if waiting >= policy.max_batch:
-        full = policy.max_batch
-        return max(times[head + full - 1], gpu_free), full
-    return threshold, waiting
+    return batch_rule(policy)(times, head, gpu_free, curve.ms)
 
 
 def join_rule(
@@ -426,14 +464,15 @@ def join_rule(
 
 def commit_size(
     policy: BatchingPolicy | ContinuousBatching,
-) -> Callable[[Sequence[float], int, float, LatencyCurve], int]:
+) -> Callable[[Sequence[float], int, float, Sequence[float]], int]:
     """The batcher's size at commit, chosen once per batcher:
-    ``size(times, head, start, curve)`` is the size of the batch that
-    dispatches at ``start`` off the queue ``times[head:]``.
+    ``size(times, head, start, ms)`` is the size of the batch that
+    dispatches at ``start`` off the queue ``times[head:]``; ``ms`` is
+    the latency table, which only the SLA-adaptive size reads.
 
     For the :func:`join_rule` caller, whose queued arrivals have all
-    arrived by the pending dispatch time: the size :func:`next_batch`
-    computes, without its search — the whole queue up to ``max_batch``,
+    arrived by the pending dispatch time: the size :func:`batch_rule`
+    decides, without its search — the whole queue up to ``max_batch``,
     or under ``sla_ms`` the SLA-adaptive choice among those.
     """
     max_batch = policy.max_batch
@@ -441,13 +480,13 @@ def commit_size(
         sla_ms = policy.sla_ms
 
         def adaptive_size(times: Sequence[float], head: int, start: float,
-                          curve: LatencyCurve) -> int:
+                          ms: Sequence[float]) -> int:
             waiting = min(len(times) - head, max_batch)
-            return _adaptive_batch(curve, times, head, waiting, start, sla_ms)
+            return _adaptive_batch(ms, times, head, waiting, start, sla_ms)
         return adaptive_size
 
     def size(times: Sequence[float], head: int, start: float,
-             curve: LatencyCurve) -> int:
+             ms: Sequence[float]) -> int:
         return min(len(times) - head, max_batch)
     return size
 
@@ -459,8 +498,8 @@ def _serve_arrays(
     policy: BatchingPolicy | ContinuousBatching,
     phases: tuple[str, ...],
 ) -> BatchBlock:
-    """Serve time-sorted arrivals on one GPU, one :func:`next_batch`
-    decision per batch.
+    """Serve time-sorted arrivals on one GPU: the batcher's
+    :func:`batch_rule`, chosen once, then one decision per batch.
 
     Returns the run's batch block: start times (seconds), execution
     seconds and sizes, in dispatch order.  Everything the reports
@@ -470,18 +509,29 @@ def _serve_arrays(
     A batch's execution time comes from the latency curve of its oldest
     query's phase (phases are long relative to batches, so mixed
     batches are rare and the approximation is second-order); each curve
-    must cover ``1..policy.max_batch``.
+    must cover ``1..policy.max_batch``.  The loop reads plain lists:
+    the arrival times, the phase ids, and each distinct curve's table
+    up to ``max_batch``, converted once per run.
     """
     queue = times.tolist()
+    phase_of = phase_ids.tolist()
+    width = policy.max_batch + 1
+    tables: dict[int, list[float]] = {}
+    for curve in curves:
+        if id(curve) not in tables:
+            tables[id(curve)] = curve.ms[:width].tolist()
+    phase_ms = [tables[id(curve)] for curve in curves]
+    decide = batch_rule(policy)
     batch_starts: list[float] = []
     batch_exec: list[float] = []
     batch_sizes: list[int] = []
     gpu_free = 0.0
     head = 0
-    while head < len(queue):
-        curve = curves[phase_ids[head]]
-        start, size = next_batch(policy, queue, head, gpu_free, curve)
-        exec_s = float(curve.ms[size]) / 1e3
+    n = len(queue)
+    while head < n:
+        ms = phase_ms[phase_of[head]]
+        start, size = decide(queue, head, gpu_free, ms)
+        exec_s = ms[size] / 1e3
         gpu_free = start + exec_s
         batch_starts.append(start)
         batch_exec.append(exec_s)

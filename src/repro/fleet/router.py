@@ -2,7 +2,7 @@
 
 One query stream hits a router that assigns each query to a replica at
 arrival time; every replica batches its queue with the single-GPU rule
-(:func:`~repro.core.serving.next_batch`, under either batcher) and
+(:func:`~repro.core.serving.batch_rule`, under either batcher) and
 executes batches back to back on its GPU, whose batch latency comes
 from a per-replica calibrated model.  This composes the single-GPU
 serving simulation in :mod:`repro.core.serving` into the cluster-scale
@@ -19,8 +19,8 @@ the same load as the fast ones and their tail blows up first.  These
 state-aware policies pick arrival by arrival from the router's flat
 per-replica lists (:class:`RouterState`); the router keeps each
 replica's pending batch decision current with the batcher's O(1) join
-rule (:func:`~repro.core.serving.join_rule`) and calls ``next_batch``
-only when a batch commits.
+rule (:func:`~repro.core.serving.join_rule`) and decides afresh only
+when a batch commits.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ import numpy as np
 from repro.core.curve import LatencyCurve, LatencyModel, as_curve
 from repro.core.serving import (
     _serve_arrays,
+    batch_rule,
     check_stream,
     commit_size,
     join_rule,
-    next_batch,
     poisson_arrivals,
 )
 from repro.fleet.report import (
@@ -80,18 +80,20 @@ class _ReplicaState:
     on; dispatched queries stay in the lists as the batch members.  The
     pending batch's due time lives in :attr:`RouterState.due`, kept
     current by the router with the batcher's join rule; a batch is sized
-    only when it commits, and :func:`next_batch` decides afresh only for
-    a queue that a commit left non-empty.
+    only when it commits, and the batcher's rule (:func:`batch_rule`,
+    chosen once per replica) decides afresh only for a queue that a
+    commit left non-empty.  Both read the curve's table up to
+    ``max_batch`` as a list, converted once.
     """
 
     __slots__ = (
-        "spec", "curve", "size_at_commit", "latency_ms", "times", "phases",
+        "spec", "decide", "size_at_commit", "latency_ms", "times", "phases",
         "head", "gpu_free", "batch_starts", "batch_exec", "batch_sizes",
     )
 
     def __init__(self, spec: ReplicaSpec, curve: LatencyCurve) -> None:
         self.spec = spec
-        self.curve = curve
+        self.decide = batch_rule(spec.batching)
         self.size_at_commit = commit_size(spec.batching)
         self.latency_ms = curve.ms[:spec.batching.max_batch + 1].tolist()
         self.times: list[float] = []
@@ -108,17 +110,17 @@ class _ReplicaState:
         it any more.  Returns the next pending due time (inf once the
         queue is empty)."""
         times = self.times
+        latency_ms = self.latency_ms
         while due < now:
-            size = self.size_at_commit(times, self.head, due, self.curve)
-            exec_s = self.latency_ms[size] / 1e3
+            size = self.size_at_commit(times, self.head, due, latency_ms)
+            exec_s = latency_ms[size] / 1e3
             self.gpu_free = due + exec_s
             self.batch_starts.append(due)
             self.batch_exec.append(exec_s)
             self.batch_sizes.append(size)
             self.head += size
-            due = next_batch(
-                self.spec.batching, times, self.head, self.gpu_free,
-                self.curve,
+            due = self.decide(
+                times, self.head, self.gpu_free, latency_ms,
             )[0] if self.head < len(times) else math.inf
         return due
 
