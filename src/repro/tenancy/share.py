@@ -324,12 +324,21 @@ def _tenant_runs(serve, *args, **kwargs) -> tuple[dict, dict]:
     return reports, {run.meta["tenant"]: run for run in capture.runs}
 
 
+def _final_runs(solo_runs: dict, contended_runs: dict) -> dict:
+    """Each tenant's final run, in serving order: its contended run if
+    it was re-served, else its solo run."""
+    return {
+        name: contended_runs.get(name, run)
+        for name, run in solo_runs.items()
+    }
+
+
 def fold_zoo_report(run: GroupRun) -> ZooReport:
     """Pure fold: a recorded zoo group run into its :class:`ZooReport`.
 
-    The children are the *final* serving pass (contended, or solo when
-    every factor is 1.0); the interference calibration travels in the
-    group's meta, so replay needs neither pass re-run.
+    The children are each tenant's *final* run (contended, or solo when
+    its factor is exactly 1.0); the interference calibration travels in
+    the group's meta, so replay needs neither pass re-run.
     """
     meta = run.meta
     reports = {
@@ -374,14 +383,17 @@ def simulate_zoo_serving(
     ``demands`` omitted every tenant is assumed fully demanding
     (``ShareDemand(1, 1)``) — the conservative worst case.
 
-    A one-tenant zoo has no co-runners, its factor is exactly 1.0, and
-    the contended pass reuses the solo curve object — field-identical
-    to calling :func:`repro.core.serving.serve_stream` directly.
+    The contended pass re-serves only the tenants whose factor moved.
+    A tenant whose factor is exactly 1.0 would be served through its
+    solo tables (:meth:`LatencyCurve.scaled` returns the table itself),
+    so its solo run stands as its contended run.  A one-tenant zoo has
+    no co-runners and so is field-identical to calling
+    :func:`repro.core.serving.serve_stream` directly.
 
     Telemetry: one :class:`~repro.telemetry.events.GroupRun` (meta
     ``kind="zoo"`` carrying loads and contention factors, children =
-    the final pass's per-tenant runs) goes to ``sink`` or the ambient
-    default.
+    the final per-tenant runs, in serving order) goes to ``sink`` or
+    the ambient default.
     """
     missing = sorted(set(zoo.tenant_names) - set(latency_models))
     if missing:
@@ -420,19 +432,18 @@ def simulate_zoo_serving(
     factors = zoo_contention(
         {name: demands[name] for name in zoo.tenant_names}, loads
     )
-    if all(f == 1.0 for f in factors.values()):
-        runs = solo_runs
-    else:
-        contended = {
+    moved = [name for name in zoo.tenant_names if factors[name] != 1.0]
+    _, contended_runs = _tenant_runs(
+        serve_tenant_streams,
+        {
             name: [curve.scaled(factors[name]) for curve in curves[name]]
-            for name in zoo.tenant_names
-        }
-        _, runs = _tenant_runs(
-            serve_tenant_streams, contended, streams,
-            policies=policies, sla_ms=slas,
-            scheme_names=scheme_names,
-            phase_hit_rates=phase_hit_rates,
-        )
+            for name in moved
+        },
+        {name: streams[name] for name in moved},
+        policies=policies, sla_ms=slas,
+        scheme_names=scheme_names,
+        phase_hit_rates=phase_hit_rates,
+    )
     group = GroupRun(
         meta={
             "kind": "zoo",
@@ -440,7 +451,7 @@ def simulate_zoo_serving(
             "contention": dict(factors),
             "loads": dict(loads),
         },
-        children=dict(runs),
+        children=_final_runs(solo_runs, contended_runs),
     )
     report = fold_zoo_report(group)
     emit_run(sink, group)
@@ -510,10 +521,13 @@ def simulate_zoo_fleet(
     tenant) from the co-residents *on that replica*, and the contended
     pass yields per-tenant :class:`~repro.fleet.report.FleetReport`s.
 
-    A one-tenant zoo is field-identical to
-    :func:`repro.fleet.router.simulate_fleet_stream` on the same
-    stream: no co-residents means every factor is exactly 1.0 and the
-    contended pass is skipped.
+    The contended pass re-routes only the tenants whose factor moved on
+    some replica they serve; one at exactly 1.0 everywhere keeps its
+    solo run (each tenant's router draws its own stream, so routing a
+    subset changes no other tenant's run).  A one-tenant zoo is
+    field-identical to :func:`repro.fleet.router.simulate_fleet_stream`
+    on the same stream: no co-residents means every factor is exactly
+    1.0 and nothing is re-routed.
     """
     missing = sorted(set(zoo.tenant_names) - set(latency_models))
     if missing:
@@ -565,24 +579,23 @@ def simulate_zoo_fleet(
         }
         for name in zoo.tenant_names
     }
-    if all(
-        f == 1.0 for per in factors.values() for f in per.values()
-    ):
-        runs = solo_runs
-    else:
-        contended_models = {
+    moved = [
+        name for name in zoo.tenant_names
+        if any(f != 1.0 for f in factors[name].values())
+    ]
+    _, contended_runs = _tenant_runs(
+        simulate_fleet_tenant_streams, fleet,
+        {
             name: {
                 replica: curve.scaled(factors[name].get(replica, 1.0))
                 for replica, curve in curves[name].items()
             }
-            for name in zoo.tenant_names
-        }
-        _, runs = _tenant_runs(
-            simulate_fleet_tenant_streams, fleet, contended_models,
-            streams,
-            assignments=assignments, policy=policy,
-            sla_ms=slas, seed=seed,
-        )
+            for name in moved
+        },
+        {name: streams[name] for name in moved},
+        assignments=assignments, policy=policy,
+        sla_ms=slas, seed=seed,
+    )
     group = GroupRun(
         meta={
             "kind": "zoo_fleet",
@@ -593,7 +606,7 @@ def simulate_zoo_fleet(
                 for replica, per in contention.items()
             },
         },
-        children=dict(runs),
+        children=_final_runs(solo_runs, contended_runs),
     )
     report = fold_zoo_fleet_report(group)
     emit_run(sink, group)

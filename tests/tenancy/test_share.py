@@ -1,8 +1,21 @@
 """Unit tests for the interference model and zoo serving orchestration."""
 
+import dataclasses
+import io
+
 import pytest
 
-from repro.config.gpu import A100_SXM4_80GB
+from repro.config.gpu import A100_SXM4_80GB, H100_NVL
+from repro.core.curve import LatencyCurve
+from repro.core.serving import (
+    BatchingPolicy,
+    ContinuousBatching,
+    serve_tenant_streams,
+)
+from repro.fleet import FleetSpec
+from repro.fleet.router import simulate_fleet_tenant_streams
+from repro.telemetry.events import GroupRun
+from repro.telemetry.sinks import CaptureSink, RecorderSink
 from repro.tenancy import (
     ShareDemand,
     TenantSpec,
@@ -10,12 +23,17 @@ from repro.tenancy import (
     calibrate_tenant,
     contention_factor,
     shared_latency_model,
+    simulate_zoo_fleet,
     simulate_zoo_serving,
     zoo_contention,
 )
 from repro.tenancy.share import zoo_effective_times
 from repro.tenancy.zoo import example_zoo
-from repro.traffic.scenario import StationarySpec
+from repro.traffic.scenario import (
+    DiurnalSpec,
+    FlashCrowdSpec,
+    StationarySpec,
+)
 
 
 def _toy(batch: int) -> float:
@@ -106,3 +124,146 @@ def test_zoo_effective_times_cover_every_tenant_and_gpu():
     assert set(times) == {A100_SXM4_80GB.name}
     assert set(times[A100_SXM4_80GB.name]) == set(zoo.tenant_names)
     assert all(t > 0 for t in times[A100_SXM4_80GB.name].values())
+
+
+# ----------------------------------------------------------------------
+# the contended pass re-serves only the tenants whose factor moved
+# ----------------------------------------------------------------------
+SEED = 3
+
+
+def _mixed_zoo():
+    """Three tenants whose factors, on one GPU and on the two-replica
+    fleet below, mix exactly 1.0 (a light co-runner, or a replica of
+    its own) with factors above 1.0."""
+    base = example_zoo(3, duration_s=2.0, sla_ms=40.0)
+    scenarios = (
+        DiurnalSpec(base_qps=120.0, duration_s=2.0, amplitude=0.5),
+        FlashCrowdSpec(base_qps=150.0, duration_s=2.0, spike_at_s=0.8,
+                       magnitude=3.0),
+        StationarySpec(base_qps=100.0, duration_s=2.0),
+    )
+    zoo = ZooSpec(name="mixed", tenants=tuple(
+        dataclasses.replace(t, scenario=spec)
+        for t, spec in zip(base.tenants, scenarios)
+    ))
+    light, heavy, middle = zoo.tenant_names
+    demands = {
+        light: ShareDemand(0.05, 0.05),
+        heavy: ShareDemand(0.9, 0.6),
+        middle: ShareDemand(0.7, 0.4),
+    }
+    return zoo, demands
+
+
+def _curve(base_ms, per_query_ms):
+    # wider than every batcher below, so no table is tabulated at entry
+    return LatencyCurve.from_fn(lambda b: base_ms + per_query_ms * b, 64)
+
+
+def _recording(run) -> str:
+    buffer = io.StringIO()
+    sink = RecorderSink(buffer)
+    run.emit_to(sink)
+    sink.close()
+    return buffer.getvalue()
+
+
+def _assert_group_equal(group, expected):
+    assert list(group.children) == list(expected.children)
+    for name, child in group.children.items():
+        assert child.meta == expected.children[name].meta
+    assert _recording(group) == _recording(expected)
+
+
+def test_zoo_serving_reuses_solo_runs_of_unmoved_tenants():
+    """A tenant at exactly 1.0 keeps its solo run; the group equals
+    re-serving every tenant on its scaled curves."""
+    zoo, demands = _mixed_zoo()
+    names = zoo.tenant_names
+    models = {
+        name: _curve(2.0 + k, 0.05) for k, name in enumerate(names)
+    }
+    policies = {
+        names[0]: BatchingPolicy(max_batch=32, timeout_ms=2.0),
+        names[1]: ContinuousBatching(max_batch=32, sla_ms=15.0),
+        names[2]: ContinuousBatching(max_batch=16),
+    }
+    hit_rates = {names[1]: (0.9, 0.7, 0.8)}
+    capture = CaptureSink()
+    simulate_zoo_serving(
+        zoo, models, demands=demands, policies=policies,
+        phase_hit_rates=hit_rates, seed=SEED, sink=capture,
+    )
+    (group,) = capture.runs
+    factors = group.meta["contention"]
+    assert factors[names[0]] == 1.0
+    assert factors[names[1]] > 1.0 and factors[names[2]] > 1.0
+
+    reserved = CaptureSink()
+    serve_tenant_streams(
+        {name: models[name].scaled(factors[name]) for name in names},
+        zoo.streams(SEED), policies=policies,
+        sla_ms={t.name: t.sla_ms for t in zoo.tenants},
+        scheme_names={t.name: t.scheme.name for t in zoo.tenants},
+        phase_hit_rates=hit_rates, sink=reserved,
+    )
+    _assert_group_equal(group, GroupRun(
+        meta=group.meta,
+        children={run.meta["tenant"]: run for run in reserved.runs},
+    ))
+
+
+def test_zoo_fleet_reuses_solo_runs_of_unmoved_tenants():
+    """A tenant at exactly 1.0 on every replica it serves keeps its solo
+    run; one whose factor moved on any replica is re-routed; the group
+    equals re-routing every tenant on its scaled per-replica curves."""
+    zoo, demands = _mixed_zoo()
+    names = zoo.tenant_names
+    fleet = FleetSpec.mixed(
+        {A100_SXM4_80GB: 1, H100_NVL: 1},
+        batching=BatchingPolicy(max_batch=32, timeout_ms=2.0),
+    )
+    a100, h100 = (replica.name for replica in fleet.replicas)
+    models = {
+        name: {
+            A100_SXM4_80GB.name: _curve(2.0 + k, 0.05),
+            H100_NVL.name: _curve(1.5 + k, 0.03),
+        }
+        for k, name in enumerate(names)
+    }
+    # light alone on the A100, heavy alone on the H100, middle on both
+    assignments = {names[0]: [a100], names[1]: [h100],
+                   names[2]: [a100, h100]}
+    capture = CaptureSink()
+    simulate_zoo_fleet(
+        zoo, fleet, models, assignments=assignments, demands=demands,
+        seed=SEED, sink=capture,
+    )
+    (group,) = capture.runs
+    contention = group.meta["contention"]
+    assert contention[a100][names[0]] == contention[a100][names[2]] == 1.0
+    assert contention[h100][names[1]] == 1.0
+    assert contention[h100][names[2]] > 1.0
+
+    gpu_of = {replica.name: replica.gpu.name for replica in fleet.replicas}
+    reserved = CaptureSink()
+    simulate_fleet_tenant_streams(
+        fleet,
+        {
+            name: {
+                replica: models[name][gpu_of[replica]].scaled(
+                    contention[replica][name]
+                )
+                for replica in assignments[name]
+            }
+            for name in names
+        },
+        zoo.streams(SEED), assignments=assignments,
+        sla_ms={t.name: t.sla_ms for t in zoo.tenants}, seed=SEED,
+        sink=reserved,
+    )
+    _assert_group_equal(group, GroupRun(
+        meta=group.meta,
+        children={run.meta["tenant"]: run for run in reserved.runs},
+    ))
