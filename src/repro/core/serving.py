@@ -652,9 +652,17 @@ def check_stream(stream) -> tuple[np.ndarray, np.ndarray]:
 
 
 def poisson_arrivals(qps: float, duration_s: float, seed: int) -> np.ndarray:
-    """``max(1, int(qps * duration_s))`` seeded Poisson arrival times."""
-    if qps <= 0:
-        raise ValueError("qps must be positive")
+    """``max(1, int(qps * duration_s))`` seeded Poisson arrival times.
+
+    ``qps`` and ``duration_s`` must be finite and > 0: a zero or
+    negative duration would otherwise come back as a one-query run, and
+    NaN or inf would fail deep inside the sampler.
+    """
+    for field, value in (("qps", qps), ("duration_s", duration_s)):
+        if not 0 < value < math.inf:
+            raise ValueError(
+                f"{field} must be a finite number > 0, got {value!r}"
+            )
     rng = np.random.default_rng(seed)
     n = max(1, int(qps * duration_s))
     return np.cumsum(rng.exponential(1.0 / qps, size=n))

@@ -85,6 +85,18 @@ class TestSimulateServing:
     def test_validation(self):
         with pytest.raises(ValueError):
             simulate_serving(linear_model, qps=0)
+        # a non-positive duration used to come back as a one-query run,
+        # NaN and inf to die inside the sampler
+        for field, bad in (
+            ("qps", float("nan")), ("qps", float("inf")), ("qps", -3.0),
+            ("duration_s", -5.0), ("duration_s", 0.0),
+            ("duration_s", float("nan")), ("duration_s", float("inf")),
+        ):
+            with pytest.raises(
+                ValueError,
+                match=rf"{field} must be a finite number > 0, got {bad!r}",
+            ):
+                simulate_serving(linear_model, **{"qps": 100.0, field: bad})
         with pytest.raises(ValueError):
             BatchingPolicy(max_batch=0)
         with pytest.raises(ValueError):

@@ -221,6 +221,20 @@ class TestBoundaryValidation:
         ):
             _serve(entry, _Stream("short", [0] * 19))
 
+    @pytest.mark.parametrize("field, bad", [
+        ("qps", float("nan")), ("qps", float("inf")), ("qps", 0.0),
+        ("duration_s", -5.0), ("duration_s", 0.0),
+        ("duration_s", float("nan")), ("duration_s", float("inf")),
+    ])
+    def test_poisson_inputs_must_be_finite_and_positive(self, field, bad):
+        # a non-positive duration used to route a one-query run
+        with pytest.raises(
+            ValueError,
+            match=rf"{field} must be a finite number > 0, got {bad!r}",
+        ):
+            simulate_fleet(mixed_fleet(), MODELS,
+                           **{"qps": 100.0, field: bad})
+
     def test_unsorted_arrivals_raise(self):
         stream = self._stream()
         shuffled = dataclasses.replace(
