@@ -14,9 +14,10 @@ so serving through a table is bit-identical to calling the formula.
 
 Construction validates the table: every entry for batch sizes
 ``1..max_batch`` must be finite, positive and non-decreasing in batch
-size — the SLA-adaptive batcher's :meth:`LatencyCurve.fits_within`
-search relies on the last property.  ``ms[0]`` is 0 (an empty batch
-costs nothing) and is never served.
+size — the SLA-adaptive batcher's binary search for the largest batch
+that fits a budget (:meth:`LatencyCurve.fits_within` counts the same)
+relies on the last property.  ``ms[0]`` is 0 (an empty batch costs
+nothing) and is never served.
 
 Serving entry points also accept plain callables ``batch -> ms``;
 :func:`as_curve` tabulates each distinct callable once per call, over

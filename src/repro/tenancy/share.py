@@ -432,6 +432,8 @@ def simulate_zoo_serving(
     factors = zoo_contention(
         {name: demands[name] for name in zoo.tenant_names}, loads
     )
+    # scaled(1.0) is the solo table itself: a tenant at exactly 1.0 would
+    # serve its solo run again, so only the others are re-served
     moved = [name for name in zoo.tenant_names if factors[name] != 1.0]
     _, contended_runs = _tenant_runs(
         serve_tenant_streams,
@@ -579,6 +581,8 @@ def simulate_zoo_fleet(
         }
         for name in zoo.tenant_names
     }
+    # as on one GPU: a tenant at exactly 1.0 on every replica it serves
+    # would route its solo run again
     moved = [
         name for name in zoo.tenant_names
         if any(f != 1.0 for f in factors[name].values())
