@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.config.gpu import A100_SXM4_80GB, H100_NVL
@@ -10,6 +13,7 @@ from repro.config.scale import SimScale
 from repro.core.embedding import KernelWorkload
 from repro.datasets.generator import generate_trace
 from repro.datasets.spec import HOTNESS_PRESETS
+from repro.telemetry.events import FleetRun
 
 
 @pytest.fixture(scope="session")
@@ -69,3 +73,27 @@ def make_trace(name="random", batch=16, pooling=24, rows=4096, seed=0):
 @pytest.fixture
 def trace_factory():
     return make_trace
+
+
+def _blocks(run):
+    batches = run.replicas if isinstance(run, FleetRun) else [run.batches]
+    return [run.arrivals, *batches]
+
+
+def assert_same_run(run, expected) -> None:
+    """``run`` equals ``expected`` exactly: the same meta items in the
+    same key order, and every block column with the same dtype, shape
+    and bytes."""
+    assert type(run) is type(expected)
+    assert list(run.meta.items()) == list(expected.meta.items())
+    got, want = _blocks(run), _blocks(expected)
+    assert len(got) == len(want)
+    for block, other in zip(got, want):
+        assert type(block) is type(other)
+        for field in dataclasses.fields(block):
+            a, b = getattr(block, field.name), getattr(other, field.name)
+            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+                assert a.tobytes() == b.tobytes(), field.name
+            else:
+                assert a == b, field.name

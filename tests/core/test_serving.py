@@ -16,7 +16,13 @@ from repro.core.serving import (
     serve_tenant_streams,
     simulate_serving,
 )
-from repro.traffic.scenario import StationarySpec, generate_arrivals
+from repro.telemetry.sinks import CaptureSink
+from repro.traffic.scenario import (
+    FlashCrowdSpec,
+    StationarySpec,
+    generate_arrivals,
+)
+from tests.conftest import assert_same_run
 
 
 def linear_model(batch):
@@ -302,6 +308,54 @@ class TestServeStream:
         assert [p.phase for p in report.phases] == ["a", "b"]
         assert all(p.n_queries == 2 for p in report.phases)
         assert report.offered_qps == pytest.approx(2.0)
+
+
+class TestTenantStreams:
+    def test_each_tenant_is_served_by_serve_stream(self):
+        """Every tenant's run is the run ``serve_stream`` emits for that
+        tenant alone, tagged with ``meta["tenant"]`` as its last key."""
+        def flash(qps, seed):
+            return generate_arrivals(FlashCrowdSpec(
+                base_qps=qps, duration_s=2.0, spike_at_s=0.8, magnitude=3.0,
+                ramp_s=0.1, decay_s=0.3,
+            ), seed)
+
+        streams = {
+            "ads": flash(300.0, 1),
+            "feed": generate_arrivals(
+                StationarySpec(base_qps=500.0, duration_s=2.0), 2
+            ),
+            "search": flash(400.0, 3),
+        }
+        # ads and feed share one plain callable
+        models = {"ads": linear_model, "feed": linear_model,
+                  "search": lambda b: 4.0 + 0.02 * b}
+        policies = {"ads": BatchingPolicy(max_batch=256, timeout_ms=3.0),
+                    "feed": ContinuousBatching(max_batch=128, sla_ms=25.0)}
+        slas = {"ads": 40.0, "feed": 25.0, "search": 30.0}
+        scheme_names = {"ads": "rpf"}
+        hit_rates = {"ads": (0.9, 0.6, 0.8), "search": (0.7, 0.5, 0.95)}
+        capture = CaptureSink()
+        reports = serve_tenant_streams(
+            models, streams, policies=policies, sla_ms=slas,
+            scheme_names=scheme_names, phase_hit_rates=hit_rates,
+            sink=capture,
+        )
+        assert list(reports) == list(streams)
+        assert [run.meta["tenant"] for run in capture.runs] == list(streams)
+        for name, run in zip(streams, capture.runs):
+            alone = CaptureSink()
+            report = serve_stream(
+                models[name], streams[name], policy=policies.get(name),
+                sla_ms=slas[name],
+                scheme_name=scheme_names.get(name, name),
+                phase_hit_rates=hit_rates.get(name), sink=alone,
+            )
+            (solo,) = alone.runs
+            assert_same_run(run, dataclasses.replace(
+                solo, meta={**solo.meta, "tenant": name},
+            ))
+            assert reports[name] == report
 
 
 class TestStreamBoundary:

@@ -18,9 +18,16 @@ from repro.fleet.router import (
     simulate_fleet,
     simulate_fleet_stream,
     simulate_fleet_tenant_streams,
+    subfleet,
 )
 from repro.fleet.topology import FleetSpec
-from repro.traffic.scenario import StationarySpec, generate_arrivals
+from repro.telemetry.sinks import CaptureSink
+from repro.traffic.scenario import (
+    FlashCrowdSpec,
+    StationarySpec,
+    generate_arrivals,
+)
+from tests.conftest import assert_same_run
 
 
 def a100_model(batch):
@@ -153,6 +160,57 @@ class TestSimulateFleet:
     def test_invalid_qps_rejected(self):
         with pytest.raises(ValueError):
             simulate_fleet(homo_fleet(), MODELS, qps=0)
+
+
+class TestTenantStreams:
+    def test_each_tenant_is_served_by_simulate_fleet_stream(self):
+        """Every tenant's run is the run ``simulate_fleet_stream`` emits
+        for that tenant alone on its replicas, tagged with
+        ``meta["tenant"]`` as its last key."""
+        fleet = mixed_fleet()
+        h100s = [r.name for r in fleet.replicas if r.gpu is H100_NVL]
+        streams = {
+            "ads": generate_arrivals(FlashCrowdSpec(
+                base_qps=800.0, duration_s=1.0, spike_at_s=0.4,
+                magnitude=3.0, ramp_s=0.05, decay_s=0.15,
+            ), 1),
+            "feed": generate_arrivals(
+                StationarySpec(base_qps=1500.0, duration_s=1.0), 2
+            ),
+            "search": generate_arrivals(
+                StationarySpec(base_qps=600.0, duration_s=1.0), 3
+            ),
+        }
+        models = {
+            "ads": MODELS,
+            "feed": {A100_SXM4_80GB.name: lambda b: 9.0 + 0.02 * b,
+                     H100_NVL.name: lambda b: 5.0 + 0.01 * b},
+            "search": MODELS,
+        }
+        assignments = {"feed": h100s}
+        slas = {"ads": 40.0, "feed": 20.0, "search": None}
+        capture = CaptureSink()
+        reports = simulate_fleet_tenant_streams(
+            fleet, models, streams, assignments=assignments,
+            policy="power-of-two", sla_ms=slas, seed=5, sink=capture,
+        )
+        assert list(reports) == list(streams)
+        assert [run.meta["tenant"] for run in capture.runs] == list(streams)
+        every = [r.name for r in fleet.replicas]
+        for name, run in zip(streams, capture.runs):
+            alone = CaptureSink()
+            report = simulate_fleet_stream(
+                subfleet(fleet, assignments.get(name, every)),
+                models[name], streams[name], policy="power-of-two",
+                sla_ms=slas[name], seed=5, sink=alone,
+            )
+            (solo,) = alone.runs
+            assert_same_run(run, dataclasses.replace(
+                solo, meta={**solo.meta, "tenant": name},
+            ))
+            assert reports[name] == report
+        assert [r.scheme_name for r in reports["feed"].replica_reports] \
+            == h100s
 
 
 class _Stream:

@@ -135,6 +135,17 @@ class TestDriftCalibration:
         assert factors[0] == pytest.approx(1.0)
         assert all(f > 0.5 for f in factors)
 
+    def test_factors_pinned(self):
+        # the defaults: A100, med_hot, L2P+OptMT
+        spec = DriftSpec(
+            base_qps=1000, duration_s=4.0, n_phases=3, drift_per_phase=0.3,
+        )
+        assert drift_phase_factors(spec, seed=1) == (
+            1.0,
+            float.fromhex("0x1.0166df837e8d9p+0"),
+            float.fromhex("0x1.055bf0bcb3765p+0"),
+        )
+
     def test_scaled_models_scale(self):
         models = scaled_latency_models(toy_model, (1.0, 2.0))
         assert models[0](100) == pytest.approx(toy_model(100))
