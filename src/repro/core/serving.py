@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.core.curve import LatencyCurve, LatencyModel, as_curve
 from repro.telemetry.events import ArrivalBlock, BatchBlock, StreamRun
-from repro.telemetry.sinks import Sink, emit_run
+from repro.telemetry.sinks import CaptureSink, Sink, emit_run
 
 _PERCENTILE_FIELDS = {"p50": "p50_ms", "p95": "p95_ms", "p99": "p99_ms"}
 
@@ -547,22 +547,25 @@ def _serve_arrays(
 
 def _batch_latencies_ms(
     arrivals: ArrivalBlock, batches: BatchBlock
-) -> tuple[np.ndarray, float, float]:
-    """Shared fold core: (per-query latencies ms, busy s, gpu-idle-at s).
+) -> tuple[np.ndarray, float]:
+    """Shared fold core: (per-query latencies ms, gpu-idle-at s).
 
     ``done_at`` assigns each query its batch's completion time by
     repeating ``starts + exec_s`` per batch size — the identical IEEE
-    operations the live loop performed, so the bits match.  ``busy`` is
-    a sequential left-fold to mirror the loop's ``busy += exec_s``
-    accumulation order (numpy's pairwise sum would differ in the last
-    ulps).
+    operations the live loop performed, so the bits match.
     """
     done = batches.starts + batches.exec_s
     done_at = np.repeat(done, batches.sizes)
     latencies_ms = (done_at - arrivals.times) * 1e3
-    busy = float(sum(batches.exec_s.tolist()))
     gpu_free = float(done[-1]) if len(done) else 0.0
-    return latencies_ms, busy, gpu_free
+    return latencies_ms, gpu_free
+
+
+def _busy_s(batches: BatchBlock) -> float:
+    """GPU-busy seconds of a batch block: a sequential left-fold over
+    ``exec_s`` (numpy's pairwise sum would differ in the last ulps from
+    the recorded reports)."""
+    return float(sum(batches.exec_s.tolist()))
 
 
 def _resolve_phase_models(
@@ -690,9 +693,7 @@ def fold_stream_report(run: StreamRun) -> StreamReport:
     sla_ms = meta["sla_ms"]
     duration_s = meta["duration_s"]
     hit_rates = meta.get("phase_hit_rates")
-    latencies_ms, busy, gpu_free = _batch_latencies_ms(
-        run.arrivals, run.batches
-    )
+    latencies_ms, gpu_free = _batch_latencies_ms(run.arrivals, run.batches)
     within = (
         latencies_ms <= sla_ms if sla_ms is not None
         else np.ones(len(times), dtype=bool)
@@ -723,79 +724,53 @@ def fold_stream_report(run: StreamRun) -> StreamReport:
         goodput_qps=float(within.sum()) / duration_s,
         sla_hit_pct=100.0 * float(within.sum()) / len(times),
         mean_batch_size=float(np.mean(run.batches.sizes)),
-        gpu_utilization=float(busy / horizon) if horizon > 0 else 0.0,
+        gpu_utilization=(
+            _busy_s(run.batches) / horizon if horizon > 0 else 0.0
+        ),
         phases=phase_stats,
         hit_rate=hit_rate,
     )
 
 
-def fold_serving_report(run: StreamRun) -> ServingReport:
-    """Pure fold: a recorded Poisson run (``kind="serving"``) into its
-    :class:`ServingReport`; shared by live simulation and replay."""
-    meta = run.meta
-    times = run.arrivals.times
-    latencies_ms, busy, gpu_free = _batch_latencies_ms(
-        run.arrivals, run.batches
-    )
-    horizon = max(gpu_free, float(times[-1]))
-    p50, p95, p99 = latency_tails(latencies_ms)
+def build_serving_report(
+    name: str,
+    qps: float,
+    batches: BatchBlock,
+    latencies_ms: np.ndarray,
+    horizon: float,
+) -> ServingReport:
+    """The :class:`ServingReport` of one GPU timeline: its batch block,
+    the latencies of the queries it served, and the horizon (seconds)
+    its utilization is measured over.
+
+    The one builder behind the Poisson fold (the scheme name and the
+    offered qps) and a fleet's per-replica rows (the replica name and
+    the queries it served per second of horizon).  A timeline that
+    served nothing reports zero tails and batch size.
+    """
+    served = len(latencies_ms)
+    p50, p95, p99 = latency_tails(latencies_ms) if served else (0.0, 0.0, 0.0)
     return ServingReport(
-        scheme_name=meta["scheme_name"],
-        qps=meta["qps"],
-        n_queries=len(times),
+        scheme_name=name,
+        qps=qps,
+        n_queries=served,
         p50_ms=p50,
         p95_ms=p95,
         p99_ms=p99,
-        mean_batch_size=float(np.mean(run.batches.sizes)),
-        gpu_utilization=float(busy / horizon) if horizon > 0 else 0.0,
+        mean_batch_size=float(np.mean(batches.sizes)) if len(batches) else 0.0,
+        gpu_utilization=_busy_s(batches) / horizon if horizon > 0 else 0.0,
     )
 
 
-def _serve_stream_run(
-    latency_ms: LatencyModel | Sequence[LatencyModel]
-                | Mapping[str, LatencyModel],
-    stream,
-    *,
-    policy: BatchingPolicy | ContinuousBatching | None = None,
-    sla_ms: float | None = None,
-    scheme_name: str = "scheme",
-    phase_hit_rates: Sequence[float] | None = None,
-    tenant: str | None = None,
-    seen: dict | None = None,
-) -> tuple[StreamReport, StreamRun]:
-    """Run the event loop and package (report, run record)."""
-    times, phase_ids = check_stream(stream)
-    policy = _default_policy(policy, sla_ms)
-    curves = _resolve_phase_models(
-        latency_ms, stream.phases, policy.max_batch, seen
+def fold_serving_report(run: StreamRun) -> ServingReport:
+    """Pure fold: a recorded Poisson run (``kind="serving"``) into its
+    :class:`ServingReport`; shared by live simulation and replay.  The
+    utilization horizon is ``max(gpu_free, last arrival)``."""
+    latencies_ms, gpu_free = _batch_latencies_ms(run.arrivals, run.batches)
+    return build_serving_report(
+        run.meta["scheme_name"], run.meta["qps"], run.batches, latencies_ms,
+        max(gpu_free, float(run.arrivals.times[-1])),
     )
-    phases = tuple(stream.phases)
-    meta = {
-        "kind": "stream",
-        "scenario": stream.name,
-        "scheme_name": scheme_name,
-        "batcher": policy.label,
-        "sla_ms": sla_ms,
-        "duration_s": stream.duration_s,
-        "phases": list(phases),
-        "phase_durations": [float(d) for d in stream.phase_durations],
-        "phase_hit_rates": (
-            None if phase_hit_rates is None
-            else [float(r) for r in phase_hit_rates]
-        ),
-    }
-    if tenant is not None:
-        meta["tenant"] = tenant
-    run = StreamRun(
-        meta=meta,
-        arrivals=ArrivalBlock(
-            times=times,
-            phase_ids=np.asarray(phase_ids, dtype=np.int64),
-            phases=phases,
-        ),
-        batches=_serve_arrays(times, phase_ids, curves, policy, phases),
-    )
-    return fold_stream_report(run), run
 
 
 def serve_stream(
@@ -818,16 +793,43 @@ def serve_stream(
     adapted to ``sla_ms``.  ``phase_hit_rates`` (one HBM-cache hit rate
     per phase, from a tiered memstore calibration) is threaded into the
     per-phase stats and aggregated query-weighted into the report.
+    Phases sharing one plain callable tabulate it once.
 
     The run's telemetry (arrival/batch blocks bracketed by
     ``run_start``/``run_end``) goes to ``sink``, falling back to the
     ambient default (:func:`repro.telemetry.sinks.use_sink`); with no
-    sink installed nothing is emitted.
+    sink installed nothing is emitted.  The report is
+    :func:`fold_stream_report` of that run.
     """
-    report, run = _serve_stream_run(
-        latency_ms, stream, policy=policy, sla_ms=sla_ms,
-        scheme_name=scheme_name, phase_hit_rates=phase_hit_rates,
+    times, phase_ids = check_stream(stream)
+    policy = _default_policy(policy, sla_ms)
+    curves = _resolve_phase_models(
+        latency_ms, stream.phases, policy.max_batch
     )
+    phases = tuple(stream.phases)
+    run = StreamRun(
+        meta={
+            "kind": "stream",
+            "scenario": stream.name,
+            "scheme_name": scheme_name,
+            "batcher": policy.label,
+            "sla_ms": sla_ms,
+            "duration_s": stream.duration_s,
+            "phases": list(phases),
+            "phase_durations": [float(d) for d in stream.phase_durations],
+            "phase_hit_rates": (
+                None if phase_hit_rates is None
+                else [float(r) for r in phase_hit_rates]
+            ),
+        },
+        arrivals=ArrivalBlock(
+            times=times,
+            phase_ids=np.asarray(phase_ids, dtype=np.int64),
+            phases=phases,
+        ),
+        batches=_serve_arrays(times, phase_ids, curves, policy, phases),
+    )
+    report = fold_stream_report(run)
     emit_run(sink, run)
     return report
 
@@ -852,34 +854,36 @@ def serve_tenant_streams(
     :mod:`repro.tenancy.share`), not through queueing behind each
     other.  Every per-tenant argument is keyed by tenant name;
     ``sla_ms`` may also be a single number shared by all tenants.
-    Each tenant's serve is *exactly* :func:`serve_stream` — a
-    one-tenant call is field-identical to calling it directly.  Each
-    tenant's run record is emitted to ``sink`` (or the ambient default)
-    with ``meta["tenant"]`` set.
+    Each tenant is served by :func:`serve_stream` itself, so its report
+    is the one a direct call returns; its run record is the one that
+    call emits, with ``meta["tenant"]`` appended as the last key, and
+    goes to ``sink`` (or the ambient default).  Tenants sharing one
+    plain callable each tabulate it: resolve tables first (as
+    :mod:`repro.tenancy.share` does) to tabulate it once.
     """
     missing = sorted(set(streams) - set(latency_models))
     if missing:
         raise KeyError(f"no latency model for tenants {missing}")
     reports: dict[str, StreamReport] = {}
-    seen: dict = {}
     for name in streams:
-        sla = (
-            sla_ms.get(name) if isinstance(sla_ms, Mapping) else sla_ms
-        )
-        reports[name], run = _serve_stream_run(
+        capture = CaptureSink()
+        reports[name] = serve_stream(
             latency_models[name],
             streams[name],
             policy=policies.get(name) if policies else None,
-            sla_ms=sla,
+            sla_ms=(
+                sla_ms.get(name) if isinstance(sla_ms, Mapping) else sla_ms
+            ),
             scheme_name=(
                 scheme_names.get(name, name) if scheme_names else name
             ),
             phase_hit_rates=(
                 phase_hit_rates.get(name) if phase_hit_rates else None
             ),
-            tenant=name,
-            seen=seen,
+            sink=capture,
         )
+        (run,) = capture.runs
+        run.meta["tenant"] = name
         emit_run(sink, run)
     return reports
 

@@ -20,11 +20,12 @@ from repro.core.serving import (
     PhaseStats,
     ReportSlaMixin,
     ServingReport,
+    build_serving_report,
     find_phase,
     latency_tails,
     phase_breakdown,
 )
-from repro.telemetry.events import BatchBlock, FleetRun
+from repro.telemetry.events import FleetRun
 
 __all__ = [
     "FleetReport",
@@ -131,33 +132,6 @@ def build_fleet_report(
     )
 
 
-def _fold_replica_report(
-    block: BatchBlock, lat_ms: np.ndarray, horizon: float
-) -> ServingReport:
-    """One replica's :class:`ServingReport` folded from its batch block
-    and its members' latencies.
-
-    ``ServingReport.scheme_name`` carries the *replica* name here: fleet
-    consumers (routed_fractions, per-replica tables) identify rows by
-    replica, and the kernel scheme lives on ``ReplicaSpec.scheme``.
-    """
-    served = len(lat_ms)
-    busy = float(sum(block.exec_s.tolist()))
-    p50, p95, p99 = latency_tails(lat_ms) if served else (0.0, 0.0, 0.0)
-    return ServingReport(
-        scheme_name=block.replica or "replica",
-        qps=served / horizon if horizon > 0 else 0.0,
-        n_queries=served,
-        p50_ms=p50,
-        p95_ms=p95,
-        p99_ms=p99,
-        mean_batch_size=(
-            float(np.mean(block.sizes)) if len(block) else 0.0
-        ),
-        gpu_utilization=busy / horizon if horizon > 0 else 0.0,
-    )
-
-
 def fold_fleet_report(run: FleetRun) -> FleetReport:
     """Pure fold: a recorded :class:`FleetRun` into its report.
 
@@ -165,7 +139,11 @@ def fold_fleet_report(run: FleetRun) -> FleetReport:
     the latencies concatenate per replica in the run's replica order,
     each replica's batches in dispatch order, members in queue-pop
     order, exactly as the live simulation accumulated them, so the
-    fleet-wide percentiles match bit for bit.
+    fleet-wide percentiles match bit for bit.  Each replica's row is
+    :func:`~repro.core.serving.build_serving_report` under the replica's
+    name, and both run kinds make one :func:`build_fleet_report` call:
+    a Poisson run (``kind="fleet"``) with its offered qps and no SLA,
+    duration or phases.
     """
     meta = run.meta
     times = run.arrivals.times
@@ -183,34 +161,37 @@ def fold_fleet_report(run: FleetRun) -> FleetReport:
         done_at = np.repeat(b.done, b.sizes)
         lat_parts.append(1e3 * (done_at - member_times))
         phase_parts.append(np.asarray(member_phases, dtype=np.int64))
+    # a replica row's scheme_name is the replica: fleet consumers
+    # (routed_fractions, per-replica tables) identify rows by replica,
+    # and the kernel scheme lives on ReplicaSpec.scheme
     replica_reports = tuple(
-        _fold_replica_report(b, lat_ms, horizon)
+        build_serving_report(
+            b.replica or "replica",
+            len(lat_ms) / horizon if horizon > 0 else 0.0,
+            b, lat_ms, horizon,
+        )
         for b, lat_ms in zip(blocks, lat_parts)
     )
     all_latencies_ms = np.concatenate(lat_parts)
+    sla_ms = meta.get("sla_ms")
+    duration_s = meta.get("duration_s")
     if meta["kind"] == "fleet_stream":
-        duration_s = meta["duration_s"]
-        sla_ms = meta["sla_ms"]
-        return build_fleet_report(
-            fleet_name=meta["fleet"],
-            policy=meta["policy"],
-            qps=len(times) / duration_s if duration_s else 0.0,
-            latencies_ms=all_latencies_ms,
-            replica_reports=replica_reports,
-            cost_units=meta["cost_units"],
-            sla_ms=sla_ms,
-            duration_s=duration_s,
-            phases=phase_breakdown(
-                all_latencies_ms, np.concatenate(phase_parts),
-                tuple(meta["phases"]), tuple(meta["phase_durations"]),
-                sla_ms, phase_hit_rates=meta.get("phase_hit_rates"),
-            ),
+        qps = len(times) / duration_s if duration_s else 0.0
+        phases = phase_breakdown(
+            all_latencies_ms, np.concatenate(phase_parts),
+            tuple(meta["phases"]), tuple(meta["phase_durations"]),
+            sla_ms, phase_hit_rates=meta.get("phase_hit_rates"),
         )
+    else:
+        qps, phases = meta["qps"], ()
     return build_fleet_report(
         fleet_name=meta["fleet"],
         policy=meta["policy"],
-        qps=meta["qps"],
+        qps=qps,
         latencies_ms=all_latencies_ms,
         replica_reports=replica_reports,
         cost_units=meta["cost_units"],
+        sla_ms=sla_ms,
+        duration_s=duration_s,
+        phases=phases,
     )

@@ -46,7 +46,7 @@ from repro.fleet.report import (
 )
 from repro.fleet.topology import FleetSpec, ReplicaSpec
 from repro.telemetry.events import ArrivalBlock, BatchBlock, FleetRun
-from repro.telemetry.sinks import Sink, emit_run
+from repro.telemetry.sinks import CaptureSink, Sink, emit_run
 
 
 class RouterState:
@@ -513,53 +513,6 @@ def simulate_fleet(
     return report
 
 
-def _simulate_fleet_stream_run(
-    fleet: FleetSpec,
-    latency_models: Mapping[str, LatencyModel],
-    stream,
-    *,
-    policy: str | RoutingPolicy = "jsq",
-    sla_ms: float | None = None,
-    seed: int = 0,
-    phase_hit_rates: Sequence[float] | None = None,
-    tenant: str | None = None,
-) -> tuple[FleetReport, FleetRun]:
-    """Route one scenario stream; package (report, run record)."""
-    times, phase_ids = check_stream(stream)
-    phases = tuple(stream.phases)
-    blocks, router = _route_stream(
-        fleet, latency_models, times, phase_ids, phases,
-        policy=policy, seed=seed,
-    )
-    meta = {
-        "kind": "fleet_stream",
-        "fleet": fleet.name,
-        "scenario": stream.name,
-        "policy": router.name,
-        "sla_ms": sla_ms,
-        "duration_s": stream.duration_s,
-        "cost_units": float(fleet.cost_units),
-        "phases": list(phases),
-        "phase_durations": [float(d) for d in stream.phase_durations],
-        "phase_hit_rates": (
-            None if phase_hit_rates is None
-            else [float(r) for r in phase_hit_rates]
-        ),
-    }
-    if tenant is not None:
-        meta["tenant"] = tenant
-    run = FleetRun(
-        meta=meta,
-        arrivals=ArrivalBlock(
-            times=times,
-            phase_ids=np.asarray(phase_ids, dtype=np.int64),
-            phases=phases,
-        ),
-        replicas=blocks,
-    )
-    return fold_fleet_report(run), run
-
-
 def simulate_fleet_stream(
     fleet: FleetSpec,
     latency_models: Mapping[str, LatencyModel],
@@ -580,13 +533,41 @@ def simulate_fleet_stream(
     window instead of on the run average.  ``seed`` only drives the
     router's sampling policies (the stream is already materialized).
     ``phase_hit_rates`` (one memstore HBM hit rate per phase) is
-    threaded into the per-phase breakdown.  The run's telemetry goes to
-    ``sink`` (or the ambient default).
+    threaded into the per-phase breakdown.  Replicas sharing one plain
+    callable tabulate it once.  The run's telemetry goes to ``sink``
+    (or the ambient default); the report is :func:`fold_fleet_report`
+    of that run.
     """
-    report, run = _simulate_fleet_stream_run(
-        fleet, latency_models, stream, policy=policy, sla_ms=sla_ms,
-        seed=seed, phase_hit_rates=phase_hit_rates,
+    times, phase_ids = check_stream(stream)
+    phases = tuple(stream.phases)
+    blocks, router = _route_stream(
+        fleet, latency_models, times, phase_ids, phases,
+        policy=policy, seed=seed,
     )
+    run = FleetRun(
+        meta={
+            "kind": "fleet_stream",
+            "fleet": fleet.name,
+            "scenario": stream.name,
+            "policy": router.name,
+            "sla_ms": sla_ms,
+            "duration_s": stream.duration_s,
+            "cost_units": float(fleet.cost_units),
+            "phases": list(phases),
+            "phase_durations": [float(d) for d in stream.phase_durations],
+            "phase_hit_rates": (
+                None if phase_hit_rates is None
+                else [float(r) for r in phase_hit_rates]
+            ),
+        },
+        arrivals=ArrivalBlock(
+            times=times,
+            phase_ids=np.asarray(phase_ids, dtype=np.int64),
+            phases=phases,
+        ),
+        replicas=blocks,
+    )
+    report = fold_fleet_report(run)
     emit_run(sink, run)
     return report
 
@@ -642,24 +623,27 @@ def simulate_fleet_tenant_streams(
     it), so per-tenant tails and SLA attainment stay attributable.
     ``latency_models[tenant]`` maps replica or GPU names to that
     tenant's curves; ``assignments[tenant]`` names the replicas it may
-    use (omitted: all of them).  A single tenant assigned the whole
-    fleet is served by :func:`simulate_fleet_stream` verbatim —
-    field-identical to calling it directly.  Each tenant's run record
-    is emitted to ``sink`` (or the ambient default) with
-    ``meta["tenant"]`` set.
+    use (omitted: all of them).  Each tenant is routed by
+    :func:`simulate_fleet_stream` itself over :func:`tenant_fleet`, so
+    its report is the one a direct call returns; its run record is the
+    one that call emits, with ``meta["tenant"]`` appended as the last
+    key, and goes to ``sink`` (or the ambient default).
     """
     missing = sorted(set(streams) - set(latency_models))
     if missing:
         raise KeyError(f"no latency models for tenants {missing}")
     reports: dict[str, FleetReport] = {}
     for name in streams:
-        sla = (
-            sla_ms.get(name) if isinstance(sla_ms, Mapping) else sla_ms
-        )
-        reports[name], run = _simulate_fleet_stream_run(
+        capture = CaptureSink()
+        reports[name] = simulate_fleet_stream(
             tenant_fleet(fleet, assignments, name),
-            latency_models[name], streams[name],
-            policy=policy, sla_ms=sla, seed=seed, tenant=name,
+            latency_models[name], streams[name], policy=policy,
+            sla_ms=(
+                sla_ms.get(name) if isinstance(sla_ms, Mapping) else sla_ms
+            ),
+            seed=seed, sink=capture,
         )
+        (run,) = capture.runs
+        run.meta["tenant"] = name
         emit_run(sink, run)
     return reports
