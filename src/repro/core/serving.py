@@ -77,6 +77,15 @@ def _check_max_batch(max_batch) -> None:
         raise ValueError(f"max_batch must be >= 1, got {max_batch!r}")
 
 
+def check_sla(sla_ms: float | None) -> None:
+    """An SLA: None, or a finite number of milliseconds > 0.  NaN, zero
+    or a negative SLA would count no query as in time."""
+    if sla_ms is not None and not 0 < sla_ms < math.inf:
+        raise ValueError(
+            f"sla_ms must be a finite number > 0 or None, got {sla_ms!r}"
+        )
+
+
 @dataclass(frozen=True)
 class BatchingPolicy:
     """Collect up to ``max_batch`` queries or wait at most ``timeout_ms``."""
@@ -120,11 +129,7 @@ class ContinuousBatching:
 
     def __post_init__(self) -> None:
         _check_max_batch(self.max_batch)
-        if self.sla_ms is not None and not 0 < self.sla_ms < math.inf:
-            raise ValueError(
-                f"sla_ms must be a finite number > 0 or None, "
-                f"got {self.sla_ms!r}"
-            )
+        check_sla(self.sla_ms)
 
     @property
     def label(self) -> str:
@@ -140,6 +145,7 @@ class ReportSlaMixin:
     """
 
     def meets_sla(self, sla_ms: float, percentile: str = "p99") -> bool:
+        check_sla(sla_ms)
         return getattr(self, resolve_percentile_field(percentile)) <= sla_ms
 
 
@@ -200,14 +206,21 @@ def phase_breakdown(
     Shared by the single-GPU stream server and the routed fleet so the
     two per-phase reports can never drift apart.  Phases with no
     queries are omitted.  ``phase_hit_rates`` (indexed like
-    ``phase_names``) attaches memstore HBM hit rates to the phases.
+    ``phase_names``) attaches memstore HBM hit rates to the phases; each
+    must be in [0, 1].
     """
-    if phase_hit_rates is not None and \
-            len(phase_hit_rates) != len(phase_names):
-        raise ValueError(
-            f"{len(phase_hit_rates)} hit rates for "
-            f"{len(phase_names)} phases"
-        )
+    if phase_hit_rates is not None:
+        if len(phase_hit_rates) != len(phase_names):
+            raise ValueError(
+                f"{len(phase_hit_rates)} hit rates for "
+                f"{len(phase_names)} phases"
+            )
+        for name, rate in zip(phase_names, phase_hit_rates):
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(
+                    f"phase {name!r}: hit rate must be in [0, 1], "
+                    f"got {rate!r}"
+                )
     within = (
         latencies_ms <= sla_ms if sla_ms is not None
         else np.ones(len(latencies_ms), dtype=bool)
@@ -802,6 +815,7 @@ def serve_stream(
     :func:`fold_stream_report` of that run.
     """
     times, phase_ids = check_stream(stream)
+    check_sla(sla_ms)
     policy = _default_policy(policy, sla_ms)
     curves = _resolve_phase_models(
         latency_ms, stream.phases, policy.max_batch

@@ -35,6 +35,7 @@ from repro.core.curve import LatencyCurve, LatencyModel, as_curve
 from repro.core.serving import (
     _serve_arrays,
     batch_rule,
+    check_sla,
     check_stream,
     commit_size,
     join_rule,
@@ -539,6 +540,7 @@ def simulate_fleet_stream(
     of that run.
     """
     times, phase_ids = check_stream(stream)
+    check_sla(sla_ms)
     phases = tuple(stream.phases)
     blocks, router = _route_stream(
         fleet, latency_models, times, phase_ids, phases,

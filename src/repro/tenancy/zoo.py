@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.config.model import PAPER_MODEL, DLRMConfig
 from repro.core.schemes import OPTMT, Scheme
+from repro.core.serving import check_sla
 from repro.datasets.spec import HOTNESS_PRESETS
 from repro.traffic.scenario import (
     ScenarioSpec,
@@ -56,8 +57,7 @@ class TenantSpec:
             raise ValueError(
                 f"unknown dataset {self.dataset!r}; known: {known}"
             )
-        if self.sla_ms <= 0:
-            raise ValueError("sla_ms must be positive")
+        check_sla(self.sla_ms)
         if not 0.0 <= self.hbm_floor_fraction <= 1.0:
             raise ValueError("hbm_floor_fraction must be in [0, 1]")
 

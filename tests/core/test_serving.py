@@ -119,9 +119,25 @@ class TestSimulateServing:
             assert batcher(max_batch=np.int64(8)).max_batch == 8
 
     def test_continuous_batching_validation(self):
+        # the batcher's SLA rule is the one rule: the stream entry point,
+        # the report's SLA check and the planner apply it too (each used
+        # to count no query as in time, or no load as sustainable)
+        report = simulate_serving(linear_model, qps=100, duration_s=1.0)
+        stream = generate_arrivals(
+            StationarySpec(base_qps=200, duration_s=1.0), seed=0
+        )
         for bad in (float("nan"), float("inf"), 0.0, -5.0):
-            with pytest.raises(ValueError, match=rf"sla_ms .*{bad!r}"):
+            match = rf"sla_ms .*{bad!r}"
+            with pytest.raises(ValueError, match=match):
                 ContinuousBatching(sla_ms=bad)
+            with pytest.raises(ValueError, match=match):
+                serve_stream(linear_model, stream,
+                             policy=BatchingPolicy(256, 5.0), sla_ms=bad)
+            with pytest.raises(ValueError, match=match):
+                report.meets_sla(bad)
+            with pytest.raises(ValueError, match=match):
+                max_sustainable_qps(linear_model, sla_ms=bad,
+                                    qps_grid=(100,))
         with pytest.raises(ValueError, match="max_batch"):
             ContinuousBatching(max_batch=0)
         assert ContinuousBatching(sla_ms=None).sla_ms is None

@@ -71,6 +71,23 @@ class TestFleetMaxSustainableQps:
         assert len(reports) == 2  # no refinement without a passing point
 
 
+    @pytest.mark.parametrize("bad", [float("nan"), -5.0, 0.0])
+    def test_sla_must_be_finite_and_positive(self, bad):
+        # each planner used to return 0.0 (or no replica count) for it
+        match = rf"sla_ms .*{bad!r}"
+        with pytest.raises(ValueError, match=match):
+            fleet_max_sustainable_qps(
+                homo(1), MODELS, sla_ms=bad, qps_grid=(1000,),
+                duration_s=0.2,
+            )
+        with pytest.raises(ValueError, match=match):
+            replicas_needed(homo, MODELS, qps=1000, sla_ms=bad,
+                            duration_s=0.2, max_replicas=2)
+        with pytest.raises(ValueError, match=match):
+            autoscaler_sweep(homo, MODELS, qps_grid=(1000,), sla_ms=bad,
+                             duration_s=0.2, max_replicas=2)
+
+
 class TestReplicasNeeded:
     def test_more_load_needs_more_replicas(self):
         low = replicas_needed(

@@ -225,10 +225,10 @@ class _Stream:
         self.duration_s = duration_s
 
 
-def _serve(entry, stream):
+def _serve(entry, stream, **kwargs):
     if entry == "serve_stream":
-        return serve_stream(a100_model, stream, policy=POLICY)
-    return simulate_fleet_stream(homo_fleet(), MODELS, stream)
+        return serve_stream(a100_model, stream, policy=POLICY, **kwargs)
+    return simulate_fleet_stream(homo_fleet(), MODELS, stream, **kwargs)
 
 
 #: Both stream entry points validate through one check.
@@ -278,6 +278,30 @@ class TestBoundaryValidation:
             ValueError, match=r"'short' has 19 phase ids for 20 arrivals"
         ):
             _serve(entry, _Stream("short", [0] * 19))
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [float("nan"), -5.0, 0.0])
+    def test_sla_must_be_finite_and_positive(self, entry, bad):
+        # used to report goodput 0.0 and sla_hit_pct 0.0
+        with pytest.raises(
+            ValueError,
+            match=rf"sla_ms must be a finite number > 0 or None, got {bad!r}",
+        ):
+            _serve(entry, _Stream("sla", [0] * 20), sla_ms=bad)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("bad", [float("nan"), 1.5, -0.1])
+    def test_hit_rates_must_be_in_unit_interval(self, entry, bad):
+        # used to report the rate itself (NaN, 1.5) as the hit rate
+        with pytest.raises(
+            ValueError, match=rf"phase 'a': hit rate must be in \[0, 1\], "
+                              rf"got {bad!r}",
+        ):
+            _serve(entry, _Stream("rates", [0] * 10 + [1] * 10),
+                   phase_hit_rates=(bad, bad))
+        with pytest.raises(ValueError, match=r"phase 'b': hit rate"):
+            _serve(entry, _Stream("rates", [0] * 10 + [1] * 10),
+                   phase_hit_rates=(0.5, bad))
 
     @pytest.mark.parametrize("field, bad", [
         ("qps", float("nan")), ("qps", float("inf")), ("qps", 0.0),

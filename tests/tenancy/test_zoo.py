@@ -11,8 +11,10 @@ def test_tenant_spec_validation():
         TenantSpec(name="")
     with pytest.raises(ValueError, match="dataset"):
         TenantSpec(name="t", dataset="nope")
-    with pytest.raises(ValueError, match="sla_ms"):
-        TenantSpec(name="t", sla_ms=0.0)
+    # the batcher's SLA rule; NaN used to pass a `<= 0` check
+    for bad in (0.0, -5.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=rf"sla_ms .*{bad!r}"):
+            TenantSpec(name="t", sla_ms=bad)
     with pytest.raises(ValueError, match="hbm_floor_fraction"):
         TenantSpec(name="t", hbm_floor_fraction=1.5)
 
