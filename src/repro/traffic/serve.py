@@ -8,16 +8,16 @@ routed fleet simulator in :mod:`repro.fleet.router`.
 
 It also owns the drift-scenario calibration: a :class:`DriftSpec`
 changes the *workload* under the server, not the arrivals, so its
-phases need one batch-latency curve each.  :func:`drift_phase_factors`
-measures how much the kernel slows down as popularity drifts away from
-the pinned working set (re-using :class:`repro.core.drift.DriftModel`
-and the memoized kernel simulator), and :func:`scaled_latency_models`
-turns a base curve plus those factors into the per-phase models the
-serving layer accepts.  :func:`memstore_drift_profile` is the tiered
-counterpart: the table sits behind an HBM⇄host embedding store, and
-each phase yields both a latency factor (kernel + host-fetch time) and
-the cache's hit rate — optionally under a periodic cache-refresh
-policy, so reports show hit-rate decay and recovery.
+phases need one batch-latency curve each.  :func:`memstore_drift_profile`
+is the one calibration loop (re-using :class:`repro.core.drift.DriftModel`
+and the memoized kernel simulator): the table sits behind an HBM⇄host
+embedding store, and each phase yields both a latency factor (kernel +
+host-fetch time) and the cache's hit rate — optionally under a periodic
+cache-refresh policy, so reports show hit-rate decay and recovery.
+:func:`drift_phase_factors` is its untiered view, every row resident:
+how much the kernel alone slows down as popularity drifts away from the
+pinned working set.  :func:`scaled_latency_models` turns a base curve
+plus factors into the per-phase models the serving layer accepts.
 """
 
 from __future__ import annotations
@@ -123,33 +123,15 @@ def drift_phase_factors(
     Mirrors the paper's Section IV-C concern: rows are pinned once
     against the phase-0 popularity profile, then the access pattern
     drifts away from the pinned set phase by phase and the kernel slows
-    down.  Factors are measured on the (memoized) kernel simulator, so
-    repeated calibrations are nearly free.
+    down.  This is :func:`memstore_drift_profile`'s factors with every
+    row resident in HBM, where the host tier costs nothing.  Factors
+    are measured on the (memoized) kernel simulator, so repeated
+    calibrations are nearly free.
     """
-    workload = kernel_workload(
-        gpu, model, SimScale(name=f"drift{num_sms}", num_sms=num_sms)
-    )
-    dataset_spec = HOTNESS_PRESETS[dataset]
-    base_trace = generate_trace(
-        dataset_spec,
-        batch_size=workload.batch_size,
-        pooling_factor=workload.pooling_factor,
-        table_rows=workload.table_rows,
-        seed=seed,
-    )
-    hot_rows = popular_rows(base_trace, pinnable_rows(
-        workload.gpu.l2_set_aside_bytes, workload.row_bytes
-    )) if scheme.l2_pinning else None
-    drift = DriftModel(drift_per_batch=spec.drift_per_phase, seed=seed)
-    times = []
-    for phase in range(spec.n_phases):
-        result = run_table_kernel(
-            workload, dataset_spec, scheme,
-            trace=drift.apply(base_trace, phase),
-            hot_rows=hot_rows, seed=seed,
-        )
-        times.append(result.kernel_time_us)
-    return tuple(t / times[0] for t in times)
+    return memstore_drift_profile(
+        spec, dataset=dataset, scheme=scheme, gpu=gpu, model=model,
+        hbm_fraction=1.0, num_sms=num_sms, seed=seed,
+    ).factors
 
 
 def scaled_latency_models(
