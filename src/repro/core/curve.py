@@ -15,9 +15,8 @@ so serving through a table is bit-identical to calling the formula.
 Construction validates the table: every entry for batch sizes
 ``1..max_batch`` must be finite, positive and non-decreasing in batch
 size — the SLA-adaptive batcher's binary search for the largest batch
-that fits a budget (:meth:`LatencyCurve.fits_within` counts the same)
-relies on the last property.  ``ms[0]`` is 0 (an empty batch costs
-nothing) and is never served.
+that fits a budget relies on the last property.  ``ms[0]`` is 0 (an
+empty batch costs nothing) and is never served.
 
 Serving entry points also accept plain callables ``batch -> ms``;
 :func:`as_curve` tabulates each distinct callable once per call, over
@@ -136,13 +135,6 @@ class LatencyCurve:
                 f"{self.provenance}'s domain 1..{self.max_batch}"
             )
         return float(self.ms[index])
-
-    def fits_within(self, size: int, budget_ms: float) -> int:
-        """Largest batch in ``1..size`` whose latency is at most
-        ``budget_ms`` (0 if none) — one search over the sorted table."""
-        return int(
-            np.searchsorted(self.ms[1:size + 1], budget_ms, side="right")
-        )
 
     def __repr__(self) -> str:
         return (

@@ -24,7 +24,6 @@ from repro.telemetry.events import (
     CacheMiss,
     Complete,
     Dispatch,
-    Drop,
     Event,
     FleetRun,
     GroupRun,
@@ -72,7 +71,6 @@ __all__ = [
     "Complete",
     "ConsoleSink",
     "Dispatch",
-    "Drop",
     "Event",
     "FleetRun",
     "GroupRun",

