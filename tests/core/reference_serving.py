@@ -5,9 +5,8 @@ This is the loop as it stood while every batch went through the
 one-call form of the batching rule: a ``next_batch`` that dispatches on
 the batcher's type per batch, an SLA-adaptive sizer that finds the
 largest batch fitting a budget with one ``np.searchsorted`` over the
-numpy latency table (the search the since-deleted
-``LatencyCurve.fits_within`` made), and a loop that indexes the numpy
-phase ids and tables batch by batch.  It is slow and obviously correct, which is all
+numpy latency table, and a loop that indexes the numpy phase ids and
+tables batch by batch.  It is slow and obviously correct, which is all
 it is for.
 """
 

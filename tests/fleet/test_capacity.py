@@ -70,7 +70,6 @@ class TestFleetMaxSustainableQps:
         assert best == 0.0
         assert len(reports) == 2  # no refinement without a passing point
 
-
     @pytest.mark.parametrize("bad", [float("nan"), -5.0, 0.0])
     def test_sla_must_be_finite_and_positive(self, bad):
         # each planner used to return 0.0 (or no replica count) for it
