@@ -756,10 +756,10 @@ def build_serving_report(
     the latencies of the queries it served, and the horizon (seconds)
     its utilization is measured over.
 
-    The one builder behind the Poisson fold (the scheme name and the
-    offered qps) and a fleet's per-replica rows (the replica name and
-    the queries it served per second of horizon).  A timeline that
-    served nothing reports zero tails and batch size.
+    Both the Poisson fold (the scheme name and the offered qps) and a
+    fleet's per-replica rows (the replica name and the queries it
+    served per second of horizon) build their reports here.  A timeline
+    that served nothing reports zero tails and batch size.
     """
     served = len(latencies_ms)
     p50, p95, p99 = latency_tails(latencies_ms) if served else (0.0, 0.0, 0.0)
