@@ -1,16 +1,20 @@
 """Differential: a 1-replica fleet serves exactly like ``serve_stream``.
 
 The single-GPU loop and every fleet replica decide their batches with
-one rule (:func:`repro.core.serving.next_batch`).  A fleet of one
-replica must therefore reproduce ``serve_stream`` bit for bit — the
-same batch columns, hence the same tails and goodput — under every
-batcher and on every scenario shape.  Round-robin hands the whole
-stream to the replica up front; jsq routes it arrival by arrival, so
-both the pre-split and the per-arrival router paths are pinned.  Two
-hand-built streams pin the tie rule: in ``tie`` an arrival lands
-exactly when the oldest query's timeout expires and joins that batch
-on both paths; ``grid`` puts arrivals on a coarse grid, so duplicate
-times and ties are everywhere.
+one rule (the ``decide`` of :func:`repro.core.serving.batch_rule`).  A
+fleet of one replica must therefore reproduce ``serve_stream`` bit for
+bit — the same batch columns, hence the same tails and goodput — under
+every batcher, every routing policy and on every scenario shape.
+Round-robin hands the whole stream to the replica up front; jsq,
+power-of-two and least-latency route it arrival by arrival, so both
+router paths are pinned.  Beside the three everyday batchers run the
+edge cases of the decision: every arrival fills its batch
+(``max_batch=1``), the timeout expires on arrival (``timeout_ms=0``), a
+continuous batch of one, and an SLA-adaptive batcher whose SLA is below
+every one-query execution.  Two hand-built streams pin the tie rule:
+in ``tie`` an arrival lands exactly when the oldest query's timeout
+expires and joins that batch on both paths; ``grid`` puts arrivals on a
+coarse grid, so duplicate times and ties are everywhere.
 """
 
 import numpy as np
@@ -36,7 +40,13 @@ POLICIES = {
     "size-or-timeout": BatchingPolicy(max_batch=4, timeout_ms=5.0),
     "continuous": ContinuousBatching(max_batch=64),
     "sla-adaptive": ContinuousBatching(max_batch=64, sla_ms=SLA_MS),
+    "max-batch-1": BatchingPolicy(max_batch=1, timeout_ms=5.0),
+    "timeout-0": BatchingPolicy(max_batch=4, timeout_ms=0.0),
+    "continuous-1": ContinuousBatching(max_batch=1),
+    # model(1) is 4.2 ms: no batch can meet this SLA
+    "sla-below-exec": ContinuousBatching(max_batch=64, sla_ms=2.0),
 }
+ROUTINGS = ("round-robin", "jsq", "power-of-two", "least-latency")
 
 
 def model(batch):
@@ -75,7 +85,7 @@ def _cases():
     ``shape-batcher`` id."""
     for shape in [*SCENARIO_PROFILES, *HAND_STREAMS]:
         for name, policy in POLICIES.items():
-            for routing in ("round-robin", "jsq"):
+            for routing in ROUTINGS:
                 suffix = "" if routing == "round-robin" else f"-{routing}"
                 yield pytest.param(
                     shape, policy, routing, id=f"{shape}-{name}{suffix}",

@@ -1,8 +1,8 @@
 """Record -> replay determinism, differential against the live runs.
 
-The three golden scenarios of the regression suite (single-GPU
-serving, routed fleet, multi-tenant zoo) are recorded through a
-:class:`RecorderSink` and folded back with
+The golden scenarios of the regression suite (single-GPU serving, the
+routed fleet under every policy, the multi-tenant zoo on one GPU and on
+a fleet) are recorded through a :class:`RecorderSink` and folded back with
 :func:`repro.telemetry.replay.replay_reports`; every replayed report
 must equal the live one **field for field** (dataclass ``==``, no
 tolerance) without invoking any simulator.  The rest of the module
@@ -28,7 +28,12 @@ from repro.telemetry.replay import (
     replay_reports,
 )
 from repro.telemetry.sinks import RecorderSink, use_sink
-from repro.tenancy import ShareDemand, example_zoo, simulate_zoo_serving
+from repro.tenancy import (
+    ShareDemand,
+    example_zoo,
+    simulate_zoo_fleet,
+    simulate_zoo_serving,
+)
 from repro.traffic import (
     scenario_profile,
     simulate_fleet_scenario,
@@ -100,29 +105,34 @@ class TestGoldenServingReplay:
         assert replayed.phases == live.phases
 
 
-class TestGoldenFleetReplay:
-    def _fleet(self):
-        fleet = FleetSpec.mixed(
-            {A100_SXM4_80GB: 1, H100_NVL: 1}, name="golden-fleet"
-        )
-        models = {
-            A100_SXM4_80GB.name: _toy_model,
-            H100_NVL.name: _fast_toy_model,
-        }
-        return fleet, models
+def _golden_fleet():
+    """A two-replica A100 + H100 fleet and its toy curves."""
+    fleet = FleetSpec.mixed(
+        {A100_SXM4_80GB: 1, H100_NVL: 1}, name="golden-fleet"
+    )
+    models = {
+        A100_SXM4_80GB.name: _toy_model,
+        H100_NVL.name: _fast_toy_model,
+    }
+    return fleet, models
 
-    def test_poisson_jsq_replays_identical(self):
-        fleet, models = self._fleet()
+
+class TestGoldenFleetReplay:
+    @pytest.mark.parametrize(
+        "policy", ["round-robin", "jsq", "power-of-two", "least-latency"]
+    )
+    def test_poisson_jsq_replays_identical(self, policy):
+        fleet, models = _golden_fleet()
         live, text = _record(lambda: simulate_fleet(
             fleet, models, qps=3000, duration_s=3.0,
-            policy="jsq", seed=7,
+            policy=policy, seed=7,
         ))
         (replayed,) = replay_reports(io.StringIO(text))
         _assert_identical(replayed, live)
         assert replayed.replica_reports == live.replica_reports
 
     def test_mmpp_least_latency_replays_identical(self):
-        fleet, models = self._fleet()
+        fleet, models = _golden_fleet()
         live, text = _record(lambda: simulate_fleet_scenario(
             fleet, models,
             scenario_profile("mmpp", base_qps=2000, duration_s=5.0),
@@ -152,6 +162,38 @@ class TestGoldenZooReplay:
         assert set(replayed.tenant_reports) == set(live.tenant_reports)
         for name, report in live.tenant_reports.items():
             _assert_identical(replayed.tenant_reports[name], report)
+
+    def test_zoo_fleet_replays_identical(self):
+        zoo = example_zoo(
+            3, base_qps=900.0, duration_s=4.0, sla_ms=45.0,
+            hbm_floor_fraction=0.01,
+        )
+        fleet, models = _golden_fleet()
+        a100, h100 = (replica.name for replica in fleet.replicas)
+        live, text = _record(lambda: simulate_zoo_fleet(
+            zoo, fleet, {name: models for name in zoo.tenant_names},
+            assignments={"med_hot": [a100], "high_hot": [a100, h100],
+                         "low_hot": [h100]},
+            demands={
+                "med_hot": ShareDemand(0.6, 0.3),
+                "high_hot": ShareDemand(0.9, 0.1),
+                "low_hot": ShareDemand(0.5, 0.4),
+            },
+            policy="least-latency", seed=13,
+        ))
+        (replayed,) = replay_reports(io.StringIO(text))
+        # the contended pass re-routed someone: the group's children are
+        # not all solo runs
+        assert any(
+            factor != 1.0
+            for per in live.contention.values() for factor in per.values()
+        )
+        _assert_identical(replayed, live)
+        assert set(replayed.tenant_reports) == set(live.tenant_reports)
+        for name, report in live.tenant_reports.items():
+            _assert_identical(replayed.tenant_reports[name], report)
+            assert replayed.tenant_reports[name].replica_reports == \
+                report.replica_reports
 
 
 class TestReplayErrors:
