@@ -23,6 +23,14 @@ Two batch-formation disciplines are supported:
   ``sla_ms`` set, the batch size additionally adapts to SLA pressure
   (see the class docstring).
 
+One event loop serves every GPU timeline: a private ``_Timeline``
+holds one GPU's queue, its batcher's rule (:func:`batch_rule`), its
+clock and its batch columns, and commits batches in dispatch order up
+to a given time.  The single-GPU entry points advance one timeline over
+the whole stream; every replica of a routed fleet
+(:mod:`repro.fleet.router`) is a timeline that the router advances
+arrival by arrival.
+
 The executor's batch latency is a :class:`~repro.core.curve.LatencyCurve`
 table — by default interpolated between measured batch sizes, so one
 expensive simulation sweep serves many load points.  Plain callables
@@ -300,7 +308,7 @@ def interpolated_latency_model(
 
 
 # ----------------------------------------------------------------------
-# the batching rule and the single-GPU event loop
+# the batching rule and the one event loop
 # ----------------------------------------------------------------------
 def _adaptive_batch(
     ms: Sequence[float],
@@ -356,21 +364,19 @@ def batch_rule(
     policy: BatchingPolicy | ContinuousBatching,
 ) -> Callable[[Sequence[float], int, float, Sequence[float]],
               tuple[float, int]]:
-    """The batching rule, chosen once per batcher and shared by the
-    single-GPU loop and every fleet replica: ``decide(times, head,
-    gpu_free, ms)`` is the (dispatch time, size) of the next batch off
-    the time-sorted queue ``times[head:]``, given when the GPU frees and
-    its latency table ``ms`` (indexed by batch size; only SLA-adaptive
-    sizing reads it, and only when more than one query waits).
+    """The batching rule, chosen once per batcher and shared by every
+    GPU timeline: ``decide(times, head, gpu_free, ms)`` is the
+    (dispatch time, size) of the next batch off the time-sorted queue
+    ``times[head:]``, given when the GPU frees and its latency table
+    ``ms`` (indexed by batch size; only SLA-adaptive sizing reads it,
+    and only when more than one query waits).
 
     An arrival at exactly the dispatch instant joins the batch.  Only
     queries that arrived by the dispatch time matter, so a caller that
     learns arrivals one by one may commit the decision once an arrival
-    lands strictly later.  Such a caller need not re-decide on every
-    arrival: :func:`join_rule` keeps the dispatch time current in O(1),
-    :func:`commit_size` sizes the batch when it commits, and ``decide``
-    is needed only for a fresh decision on a queue that a commit left
-    non-empty.
+    lands strictly later, as :meth:`_Timeline.advance` does.  Between
+    commits such a caller need not re-decide on every arrival:
+    :func:`join_rule` keeps the dispatch time current in O(1).
     """
     # the decisions take max and min as branches: the same values (ties
     # keep the first argument, as max and min do), without the calls
@@ -410,25 +416,6 @@ def batch_rule(
     return decide
 
 
-def next_batch(
-    policy: BatchingPolicy | ContinuousBatching,
-    times: Sequence[float],
-    head: int,
-    gpu_free: float,
-    curve: LatencyCurve,
-) -> tuple[float, int]:
-    """The batching rule in one call: :func:`batch_rule`'s decision for
-    ``policy`` on ``curve``'s table — the (dispatch time, size) of the
-    next batch off the time-sorted queue ``times[head:]``, given when
-    the GPU frees.
-
-    A caller deciding many batches under one batcher chooses the rule
-    once with :func:`batch_rule` instead, as the single-GPU loop and the
-    fleet router do.
-    """
-    return batch_rule(policy)(times, head, gpu_free, curve.ms)
-
-
 def join_rule(
     policy: BatchingPolicy | ContinuousBatching,
 ) -> Callable[[float, int, float, float], float]:
@@ -437,14 +424,14 @@ def join_rule(
     time after an arrival at ``now`` is queued.
 
     For a caller that learns time-sorted arrivals one by one and, before
-    queueing each, commits every batch due strictly before it (as the
-    fleet router does): ``due`` is the pending dispatch time before the
+    queueing each, advances the GPU's timeline to it (as the fleet
+    router does): ``due`` is the pending dispatch time before the
     arrival (inf while the queue is empty), ``depth`` the queue length
     including the arrival and ``gpu_free`` when the GPU frees from the
     committed batches.  The result is the dispatch time
-    :func:`next_batch` computes on the grown queue, bit for bit.  Every
-    queued arrival has joined the pending batch or, once that batch is
-    full, waits behind it, so:
+    :func:`batch_rule`'s ``decide`` computes on the grown queue, bit for
+    bit.  Every queued arrival has joined the pending batch or, once
+    that batch is full, waits behind it, so:
 
     * an arrival into an empty queue starts a fresh decision:
       ``max(now + timeout_ms / 1e3, gpu_free)``, or ``max(now, gpu_free)``
@@ -453,7 +440,7 @@ def join_rule(
     * size-or-timeout moves ``due`` only when the arrival fills the
       batch, to ``max(now, gpu_free)``;
     * continuous batching never moves it; its size, SLA-adaptive sizing
-      included, is decided at commit (:func:`commit_size`).
+      included, is decided when the batch commits.
 
     The batchers reject a non-finite timeout, so a non-empty queue
     always has a finite ``due``.
@@ -475,33 +462,90 @@ def join_rule(
     return join
 
 
-def commit_size(
-    policy: BatchingPolicy | ContinuousBatching,
-) -> Callable[[Sequence[float], int, float, Sequence[float]], int]:
-    """The batcher's size at commit, chosen once per batcher:
-    ``size(times, head, start, ms)`` is the size of the batch that
-    dispatches at ``start`` off the queue ``times[head:]``; ``ms`` is
-    the latency table, which only the SLA-adaptive size reads.
+class _Timeline:
+    """One GPU's serving event loop: its queue, its batcher's rule, its
+    clock and the batches it has committed.
 
-    For the :func:`join_rule` caller, whose queued arrivals have all
-    arrived by the pending dispatch time: the size :func:`batch_rule`
-    decides, without its search — the whole queue up to ``max_batch``,
-    or under ``sla_ms`` the SLA-adaptive choice among those.
+    The queue is the time-sorted arrival times ``times`` and their phase
+    ids ``phase_ids`` from ``head`` on; dispatched queries stay in the
+    lists as the batch members.  ``phase_ms[p]`` is phase ``p``'s latency
+    table as a list, indexed by batch size and covering
+    ``1..policy.max_batch``; a batch's execution time comes from the
+    table of its oldest query's phase (phases are long relative to
+    batches, so mixed batches are rare and the approximation is
+    second-order).  Every batch is decided by the batcher's
+    :func:`batch_rule`, chosen once.
+
+    The single-GPU loop fills the queue with the whole stream and
+    advances to inf; a fleet replica is a timeline that the router
+    advances to each arrival before queueing that arrival on it.
     """
-    max_batch = policy.max_batch
-    if isinstance(policy, ContinuousBatching) and policy.sla_ms is not None:
-        sla_ms = policy.sla_ms
 
-        def adaptive_size(times: Sequence[float], head: int, start: float,
-                          ms: Sequence[float]) -> int:
-            waiting = min(len(times) - head, max_batch)
-            return _adaptive_batch(ms, times, head, waiting, start, sla_ms)
-        return adaptive_size
+    __slots__ = (
+        "times", "phase_ids", "phase_ms", "decide", "head", "gpu_free",
+        "batch_starts", "batch_exec", "batch_sizes",
+    )
 
-    def size(times: Sequence[float], head: int, start: float,
-             ms: Sequence[float]) -> int:
-        return min(len(times) - head, max_batch)
-    return size
+    def __init__(
+        self,
+        phase_ms: Sequence[Sequence[float]],
+        policy: BatchingPolicy | ContinuousBatching,
+    ) -> None:
+        self.phase_ms = phase_ms
+        self.decide = batch_rule(policy)
+        self.times: list[float] = []
+        self.phase_ids: list[int] = []
+        self.head = 0
+        self.gpu_free = 0.0
+        self.batch_starts: list[float] = []
+        self.batch_exec: list[float] = []
+        self.batch_sizes: list[int] = []
+
+    def advance(self, until: float) -> float:
+        """Commit, in dispatch order, every batch that starts strictly
+        before ``until``, and return the pending batch's dispatch time
+        (inf once the queue is empty).
+
+        No arrival at ``until`` or later can join a batch that starts
+        before it, so a caller that advances to each arrival before
+        queueing it commits every batch on exactly the queries that
+        arrived by its dispatch time.
+        """
+        times = self.times
+        phase_ids = self.phase_ids
+        phase_ms = self.phase_ms
+        decide = self.decide
+        batch_starts = self.batch_starts
+        batch_exec = self.batch_exec
+        batch_sizes = self.batch_sizes
+        gpu_free = self.gpu_free
+        head = self.head
+        n = len(times)
+        while head < n:
+            ms = phase_ms[phase_ids[head]]
+            start, size = decide(times, head, gpu_free, ms)
+            if start >= until:
+                break
+            exec_s = ms[size] / 1e3
+            gpu_free = start + exec_s
+            batch_starts.append(start)
+            batch_exec.append(exec_s)
+            batch_sizes.append(size)
+            head += size
+        else:
+            start = math.inf  # the queue is empty
+        self.gpu_free = gpu_free
+        self.head = head
+        return start
+
+    def to_block(self, phases: tuple[str, ...]) -> BatchBlock:
+        """The committed batches as a telemetry column block."""
+        return BatchBlock(
+            starts=np.asarray(self.batch_starts, dtype=float),
+            exec_s=np.asarray(self.batch_exec, dtype=float),
+            sizes=np.asarray(self.batch_sizes, dtype=np.int64),
+            phases=phases,
+        )
 
 
 def _serve_arrays(
@@ -511,51 +555,28 @@ def _serve_arrays(
     policy: BatchingPolicy | ContinuousBatching,
     phases: tuple[str, ...],
 ) -> BatchBlock:
-    """Serve time-sorted arrivals on one GPU: the batcher's
-    :func:`batch_rule`, chosen once, then one decision per batch.
+    """Serve time-sorted arrivals on one GPU: one :class:`_Timeline`
+    holding the whole stream, advanced until its queue is empty.
 
     Returns the run's batch block: start times (seconds), execution
     seconds and sizes, in dispatch order.  Everything the reports
     carry (per-query latencies, busy time, utilization) derives from
     these columns via the pure folds below, which is what lets a
     recorded run replay field-identical without re-running this loop.
-    A batch's execution time comes from the latency curve of its oldest
-    query's phase (phases are long relative to batches, so mixed
-    batches are rare and the approximation is second-order); each curve
-    must cover ``1..policy.max_batch``.  The loop reads plain lists:
-    the arrival times, the phase ids, and each distinct curve's table
-    up to ``max_batch``, converted once per run.
+    ``curves`` holds one curve per phase, each covering
+    ``1..policy.max_batch``; each distinct curve's table is converted
+    to a list once per run.
     """
-    queue = times.tolist()
-    phase_of = phase_ids.tolist()
     width = policy.max_batch + 1
     tables: dict[int, list[float]] = {}
     for curve in curves:
         if id(curve) not in tables:
             tables[id(curve)] = curve.ms[:width].tolist()
-    phase_ms = [tables[id(curve)] for curve in curves]
-    decide = batch_rule(policy)
-    batch_starts: list[float] = []
-    batch_exec: list[float] = []
-    batch_sizes: list[int] = []
-    gpu_free = 0.0
-    head = 0
-    n = len(queue)
-    while head < n:
-        ms = phase_ms[phase_of[head]]
-        start, size = decide(queue, head, gpu_free, ms)
-        exec_s = ms[size] / 1e3
-        gpu_free = start + exec_s
-        batch_starts.append(start)
-        batch_exec.append(exec_s)
-        batch_sizes.append(size)
-        head += size
-    return BatchBlock(
-        starts=np.asarray(batch_starts, dtype=float),
-        exec_s=np.asarray(batch_exec, dtype=float),
-        sizes=np.asarray(batch_sizes, dtype=np.int64),
-        phases=phases,
-    )
+    timeline = _Timeline([tables[id(curve)] for curve in curves], policy)
+    timeline.times = times.tolist()
+    timeline.phase_ids = phase_ids.tolist()
+    timeline.advance(math.inf)
+    return timeline.to_block(phases)
 
 
 def _batch_latencies_ms(

@@ -1,26 +1,27 @@
 """SLA-aware query routing over a heterogeneous replica fleet.
 
 One query stream hits a router that assigns each query to a replica at
-arrival time; every replica batches its queue with the single-GPU rule
-(:func:`~repro.core.serving.batch_rule`, under either batcher) and
-executes batches back to back on its GPU, whose batch latency comes
-from a per-replica calibrated model.  This composes the single-GPU
-serving simulation in :mod:`repro.core.serving` into the cluster-scale
-setting the paper's SLA framing targets (DeepRecSys-style serving
-studies).
+arrival time.  Every replica is a single-GPU timeline, the one serving
+event loop of :mod:`repro.core.serving`: it batches its queue with its
+batcher's rule (:func:`~repro.core.serving.batch_rule`) and executes
+batches back to back on its GPU, whose batch latency comes from a
+per-replica calibrated model.  This composes the single-GPU serving
+simulation into the cluster-scale setting the paper's SLA framing
+targets (DeepRecSys-style serving studies).
 
 Routing policies are pluggable.  ``round-robin`` is the oblivious
-baseline: it assigns every arrival up front, and each replica's share
-is served by the single-GPU loop itself.  ``jsq`` (join-shortest-queue)
-and ``power-of-two`` use queue state; ``least-latency`` additionally
-weighs each replica's speed, which is what makes heterogeneous fleets
-(A100 next to H100) behave: an oblivious router feeds the slow replicas
-the same load as the fast ones and their tail blows up first.  These
-state-aware policies pick arrival by arrival from the router's flat
-per-replica lists (:class:`RouterState`); the router keeps each
-replica's pending batch decision current with the batcher's O(1) join
-rule (:func:`~repro.core.serving.join_rule`) and decides afresh only
-when a batch commits.
+baseline: it assigns every arrival up front, which fills each replica's
+queue at once.  ``jsq`` (join-shortest-queue) and ``power-of-two`` use
+queue state; ``least-latency`` additionally weighs each replica's
+speed, which is what makes heterogeneous fleets (A100 next to H100)
+behave: an oblivious router feeds the slow replicas the same load as
+the fast ones and their tail blows up first.  These state-aware
+policies pick arrival by arrival from the router's flat per-replica
+lists (:class:`RouterState`); the router keeps each replica's pending
+dispatch time current with the batcher's O(1) join rule
+(:func:`~repro.core.serving.join_rule`) and advances a replica's
+timeline only when that time falls before the arrival at hand.  Both
+paths then drain every replica the same way.
 """
 
 from __future__ import annotations
@@ -33,11 +34,9 @@ import numpy as np
 
 from repro.core.curve import LatencyCurve, LatencyModel, as_curve
 from repro.core.serving import (
-    _serve_arrays,
-    batch_rule,
+    _Timeline,
     check_sla,
     check_stream,
-    commit_size,
     join_rule,
     poisson_arrivals,
 )
@@ -73,57 +72,26 @@ class RouterState:
         self.work: list[float] | None = [0.0] * n_replicas
 
 
-class _ReplicaState:
-    """One replica under the per-arrival router: its queue, its GPU
-    clock and its batch columns.
+class _ReplicaState(_Timeline):
+    """One replica under the router: a GPU timeline
+    (:class:`~repro.core.serving._Timeline`) on the replica's table for
+    every phase, plus its spec.
 
-    The queue is the routed arrival times (and phase ids) from ``head``
-    on; dispatched queries stay in the lists as the batch members.  The
-    pending batch's due time lives in :attr:`RouterState.due`, kept
-    current by the router with the batcher's join rule; a batch is sized
-    only when it commits, and the batcher's rule (:func:`batch_rule`,
-    chosen once per replica) decides afresh only for a queue that a
-    commit left non-empty.  Both read the curve's table up to
-    ``max_batch`` as a list, converted once.
+    The router fills its queue: round-robin with the replica's whole
+    share up front, the per-arrival policies one arrival at a time,
+    advancing the timeline to each arrival before queueing it.  The
+    table is the curve's up to ``max_batch`` as a list, converted once.
     """
 
-    __slots__ = (
-        "spec", "decide", "size_at_commit", "latency_ms", "times", "phases",
-        "head", "gpu_free", "batch_starts", "batch_exec", "batch_sizes",
-    )
+    __slots__ = ("spec", "latency_ms")
 
-    def __init__(self, spec: ReplicaSpec, curve: LatencyCurve) -> None:
+    def __init__(
+        self, spec: ReplicaSpec, curve: LatencyCurve, n_phases: int
+    ) -> None:
+        latency_ms = curve.ms[:spec.batching.max_batch + 1].tolist()
+        super().__init__([latency_ms] * n_phases, spec.batching)
         self.spec = spec
-        self.decide = batch_rule(spec.batching)
-        self.size_at_commit = commit_size(spec.batching)
-        self.latency_ms = curve.ms[:spec.batching.max_batch + 1].tolist()
-        self.times: list[float] = []
-        self.phases: list[int] = []
-        self.head = 0
-        self.gpu_free = 0.0
-        self.batch_starts: list[float] = []
-        self.batch_exec: list[float] = []
-        self.batch_sizes: list[int] = []
-
-    def advance(self, due: float, now: float) -> float:
-        """Commit every batch due strictly before ``now``, from the
-        pending one at ``due``: no arrival at ``now`` or later can join
-        it any more.  Returns the next pending due time (inf once the
-        queue is empty)."""
-        times = self.times
-        latency_ms = self.latency_ms
-        while due < now:
-            size = self.size_at_commit(times, self.head, due, latency_ms)
-            exec_s = latency_ms[size] / 1e3
-            self.gpu_free = due + exec_s
-            self.batch_starts.append(due)
-            self.batch_exec.append(exec_s)
-            self.batch_sizes.append(size)
-            self.head += size
-            due = self.decide(
-                times, self.head, self.gpu_free, latency_ms,
-            )[0] if self.head < len(times) else math.inf
-        return due
+        self.latency_ms = latency_ms
 
     def work_s(self, depth: int) -> float:
         """Predicted GPU seconds to serve ``depth`` waiting queries plus
@@ -141,15 +109,13 @@ class _ReplicaState:
         return work_ms / 1e3
 
     def to_block(self, phases: tuple[str, ...]) -> BatchBlock:
-        """This replica's served batches as a telemetry column block."""
-        return BatchBlock(
-            starts=np.asarray(self.batch_starts, dtype=float),
-            exec_s=np.asarray(self.batch_exec, dtype=float),
-            sizes=np.asarray(self.batch_sizes, dtype=np.int64),
+        """This replica's served batches and their members as a
+        telemetry column block."""
+        return dataclasses.replace(
+            super().to_block(phases),
             replica=self.spec.name,
             member_times=np.asarray(self.times, dtype=float),
-            member_phases=np.asarray(self.phases, dtype=np.int64),
-            phases=phases,
+            member_phases=np.asarray(self.phase_ids, dtype=np.int64),
         )
 
 
@@ -351,50 +317,22 @@ def _check_assignment(
     return assignment
 
 
-def _serve_assigned(
-    fleet: FleetSpec,
-    curves: Mapping[str, LatencyCurve],
-    assignment: np.ndarray,
-    times: np.ndarray,
-    phase_ids: np.ndarray,
-    phases: tuple[str, ...],
-) -> list[BatchBlock]:
-    """Serve each replica's up-front share with the single-GPU loop."""
-    blocks = []
-    for r, spec in enumerate(fleet.replicas):
-        mine = assignment == r
-        member_times = times[mine]
-        member_phases = np.asarray(phase_ids[mine], dtype=np.int64)
-        # one curve per replica, whatever the phase
-        block = _serve_arrays(
-            member_times, member_phases, [curves[spec.name]] * len(phases),
-            spec.batching, phases,
-        )
-        blocks.append(dataclasses.replace(
-            block, replica=spec.name, member_times=member_times,
-            member_phases=member_phases,
-        ))
-    return blocks
-
-
 def _route_each_arrival(
-    fleet: FleetSpec,
-    curves: Mapping[str, LatencyCurve],
+    replicas: list[_ReplicaState],
     router: RoutingPolicy,
     times: np.ndarray,
     phase_ids: np.ndarray,
-    phases: tuple[str, ...],
-) -> list[BatchBlock]:
-    """Route arrival by arrival, then drain every replica.
+) -> None:
+    """Route arrival by arrival into the replicas' queues.
 
     The router keeps each replica's depth, GPU-free time, due time and
     (for a policy that reads it) predicted work in :class:`RouterState`
     lists.  An enqueue updates them in O(1), the due time through the
-    replica's join rule; replicas are advanced, and their batches sized,
-    only once the earliest due time falls before the arrival at hand.
+    replica's join rule; a replica's timeline is advanced to an arrival,
+    committing its batches, only once its due time falls before that
+    arrival.
     """
-    replicas = [_ReplicaState(s, curves[s.name]) for s in fleet.replicas]
-    joins = [join_rule(s.batching) for s in fleet.replicas]
+    joins = [join_rule(replica.spec.batching) for replica in replicas]
     n_replicas = len(replicas)
     state = RouterState(n_replicas)
     depth, free, due = state.depth, state.free, state.due
@@ -409,7 +347,7 @@ def _route_each_arrival(
         while next_due < now:
             r = due.index(next_due)
             replica = replicas[r]
-            due[r] = replica.advance(next_due, now)
+            due[r] = replica.advance(now)
             free[r] = replica.gpu_free
             depth[r] = len(replica.times) - replica.head
             if work is not None:
@@ -420,7 +358,7 @@ def _route_each_arrival(
             raise _bad_choice(router, k, r, n_replicas)
         replica = replicas[r]
         replica.times.append(now)
-        replica.phases.append(phase)
+        replica.phase_ids.append(phase)
         queued = depth[r] + 1
         depth[r] = queued
         pending = due[r] = joins[r](due[r], queued, now, free[r])
@@ -428,11 +366,6 @@ def _route_each_arrival(
             next_due = pending
         if work is not None:
             work[r] = replica.work_s(queued)
-    blocks = []
-    for replica, pending in zip(replicas, due):
-        replica.advance(pending, math.inf)
-        blocks.append(replica.to_block(phases))
-    return blocks
 
 
 def _route_stream(
@@ -447,25 +380,38 @@ def _route_stream(
 ) -> tuple[list[BatchBlock], RoutingPolicy]:
     """Route a time-sorted arrival stream and drain every replica: one
     batch block per replica, and the policy that routed.  Each
-    replica's curve is resolved to a table once, at entry."""
+    replica's curve is resolved to a table once, at entry.
+
+    The two router paths differ only in how the replicas' queues fill:
+    an up-front assignment hands each replica its whole share, a
+    per-arrival policy routes arrival by arrival.  Either way every
+    replica's timeline is then advanced until its queue is empty.
+    """
     curves = resolve_latency_models(fleet, latency_models)
     router = resolve_policy(policy)
     # distinct stream from the arrival-generation rng: sampling policies
     # must not replay the bits that produced the inter-arrival gaps
     rng = np.random.default_rng([seed, 0x617])
     n_replicas = fleet.n_replicas
+    replicas = [
+        _ReplicaState(spec, curves[spec.name], len(phases))
+        for spec in fleet.replicas
+    ]
     assignment = router.start(n_replicas, len(times), rng)
     if assignment is None:
-        blocks = _route_each_arrival(
-            fleet, curves, router, times, phase_ids, phases,
-        )
+        _route_each_arrival(replicas, router, times, phase_ids)
     else:
         assignment = _check_assignment(
             router, assignment, len(times), n_replicas,
         )
-        blocks = _serve_assigned(
-            fleet, curves, assignment, times, phase_ids, phases,
-        )
+        for r, replica in enumerate(replicas):
+            mine = assignment == r
+            replica.times = times[mine].tolist()
+            replica.phase_ids = phase_ids[mine].tolist()
+    blocks = []
+    for replica in replicas:
+        replica.advance(math.inf)
+        blocks.append(replica.to_block(phases))
     return blocks, router
 
 

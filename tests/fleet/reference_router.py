@@ -11,10 +11,13 @@ Power-of-two draws its candidate pair with one ``rng.choice`` per
 arrival, as it always did; pass ``pairs`` (one ``(a, b)`` per arrival)
 to replay another sample path through the same comparison instead.
 
-Every enqueue re-decides the pending batch with a full ``next_batch``
-call; pass ``dues`` (a list) to collect every replica's due time as
-each arrival finds it, the lists the router's ``RouterState.due`` must
-match.
+Every enqueue re-decides the pending batch with a full call of the
+batcher's rule, built afresh per call (``batch_rule(policy)(times,
+head, gpu_free, curve.ms)``); a batch commits with the size that
+decision gave.  Pass ``dues`` (a list) to collect every replica's due
+time as each arrival finds it, the lists the router's
+``RouterState.due`` must match.  The test names that say
+``next_batch`` name this decision, once a one-call library function.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 import numpy as np
 
 from repro.core.curve import as_curve
-from repro.core.serving import next_batch
+from repro.core.serving import batch_rule
 from repro.fleet.router import resolve_latency_models
 
 
@@ -54,9 +57,8 @@ class ReplicaState:
 
     def _decide(self):
         if self.head < len(self.times):
-            self.due, self.size = next_batch(
-                self.spec.batching, self.times, self.head, self.gpu_free,
-                self.curve,
+            self.due, self.size = batch_rule(self.spec.batching)(
+                self.times, self.head, self.gpu_free, self.curve.ms,
             )
         else:
             self.due = math.inf

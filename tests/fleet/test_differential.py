@@ -1,13 +1,15 @@
 """Differential: a 1-replica fleet serves exactly like ``serve_stream``.
 
-The single-GPU loop and every fleet replica decide their batches with
-one rule (the ``decide`` of :func:`repro.core.serving.batch_rule`).  A
-fleet of one replica must therefore reproduce ``serve_stream`` bit for
-bit — the same batch columns, hence the same tails and goodput — under
-every batcher, every routing policy and on every scenario shape.
-Round-robin hands the whole stream to the replica up front; jsq,
-power-of-two and least-latency route it arrival by arrival, so both
-router paths are pinned.  Beside the three everyday batchers run the
+The single GPU and every fleet replica run one event loop
+(``core.serving._Timeline``), deciding their batches with one rule (the
+``decide`` of :func:`repro.core.serving.batch_rule`).  A fleet of one
+replica must therefore reproduce ``serve_stream`` bit for bit — the
+same batch columns, hence the same tails and goodput — under every
+batcher, every routing policy and on every scenario shape.
+Round-robin fills the replica's queue with the whole stream up front;
+jsq, power-of-two and least-latency route it arrival by arrival,
+advancing the replica to each arrival first, so both router paths are
+pinned.  Beside the three everyday batchers run the
 edge cases of the decision: every arrival fills its batch
 (``max_batch=1``), the timeout expires on arrival (``timeout_ms=0``), a
 continuous batch of one, and an SLA-adaptive batcher whose SLA is below

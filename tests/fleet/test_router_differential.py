@@ -15,9 +15,14 @@ picked so every fleet size appears; the rest of the grid and the long
 hypothesis run are the extended set, skipped unless
 ``REPRO_FUZZ_FULL=1`` (CI runs them in a dedicated step).
 
+Both router paths fill the replicas' queues and drain them through the
+one serving event loop (``core.serving._Timeline``); the reference
+commits each batch with the size its own per-enqueue decision gave.
+
 A second differential pins the pending batch decision itself: at every
 arrival, each replica's ``RouterState.due`` must equal the due time the
-reference recomputes with a full ``next_batch`` after every enqueue.
+reference recomputes with a full call of the batcher's rule after
+every enqueue (the ``next_batch`` in the test names).
 Its grid adds three edge batchers (``max_batch=1``, ``timeout_ms=0``
 and ``ContinuousBatching(max_batch=1)``) and runs the three state-aware
 policies; each (shape, batcher) pair runs one fleet size and one policy
@@ -238,7 +243,8 @@ def test_router_matches_reference_on_random_streams_extended(**case):
 
 
 # ----------------------------------------------------------------------
-# the pending decision: RouterState.due against next_batch per enqueue
+# the pending decision: RouterState.due against a full decision per
+# enqueue
 # ----------------------------------------------------------------------
 #: the batchers above plus the edge cases of the decision: every arrival
 #: fills its batch, the timeout expires on arrival, and a continuous
@@ -288,7 +294,7 @@ def assert_due_matches_reference(fleet, models, stream, routing, seed=0):
     for k, (got, want) in enumerate(zip(recorder.dues, expected)):
         assert got == want, (
             f"arrival {k} at {stream.times[k]!r} s: router due {got}, "
-            f"next_batch after every enqueue {want}"
+            f"full decision after every enqueue {want}"
         )
 
 
