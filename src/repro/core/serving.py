@@ -657,9 +657,9 @@ def check_arrivals(times: np.ndarray, stream: str) -> None:
 def check_stream(stream) -> tuple[np.ndarray, np.ndarray]:
     """(arrival times, phase ids) of a stream that every serving entry
     point accepts: non-empty, ``duration_s > 0``, arrivals passing
-    :func:`check_arrivals`, and one phase id per arrival, each indexing
-    ``stream.phases`` (any other id would pick the wrong curve and drop
-    out of the per-phase stats)."""
+    :func:`check_arrivals`, and one integer phase id per arrival, each
+    indexing ``stream.phases`` (any other id would pick the wrong curve
+    and drop out of the per-phase stats)."""
     name = stream.name
     times = np.asarray(stream.times, dtype=float)
     if len(times) == 0:
@@ -675,6 +675,11 @@ def check_stream(stream) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"arrival stream {name!r} has {len(phase_ids)} phase ids "
             f"for {len(times)} arrivals"
+        )
+    if not np.issubdtype(phase_ids.dtype, np.integer):
+        raise ValueError(
+            f"arrival stream {name!r}: phase ids must be integers, "
+            f"got {phase_ids.dtype}"
         )
     n_phases = len(stream.phases)
     bad = np.flatnonzero((phase_ids < 0) | (phase_ids >= n_phases))

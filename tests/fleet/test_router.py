@@ -280,6 +280,16 @@ class TestBoundaryValidation:
             _serve(entry, _Stream("short", [0] * 19))
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_phase_ids_must_be_integers(self, entry):
+        # a float id used to die on a list index (serve_stream) or be
+        # served (the fleet)
+        with pytest.raises(
+            ValueError,
+            match=r"'float': phase ids must be integers, got float64",
+        ):
+            _serve(entry, _Stream("float", [0.0] * 20))
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
     @pytest.mark.parametrize("bad", [float("nan"), -5.0, 0.0])
     def test_sla_must_be_finite_and_positive(self, entry, bad):
         # used to report goodput 0.0 and sla_hit_pct 0.0
