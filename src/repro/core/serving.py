@@ -57,13 +57,23 @@ from repro.telemetry.sinks import CaptureSink, Sink, emit_run
 _PERCENTILE_FIELDS = {"p50": "p50_ms", "p95": "p95_ms", "p99": "p99_ms"}
 
 
-def resolve_percentile_field(percentile: str) -> str:
-    """Map a percentile name (``"p99"``) to its report field name.
+def resolve_percentile_field(sla_ms: float, percentile: str) -> str:
+    """The report field an SLA check compares with ``sla_ms``: map a
+    percentile name (``"p99"``) to its field name (``"p99_ms"``).
 
-    Raises ``ValueError`` for anything but the percentiles the reports
-    actually carry — an unknown name must not silently pass an SLA
-    check (or die with an obscure ``AttributeError``).
+    The one entry of every SLA check: :meth:`ReportSlaMixin.meets_sla`
+    calls it, and the planners call it before they simulate anything.
+    ``sla_ms`` must be a number that passes :func:`check_sla` (None has
+    nothing to check against), and ``percentile`` one of the
+    percentiles the reports carry: either mistake raises ``ValueError``
+    instead of silently passing a check or dying mid-comparison.
     """
+    if sla_ms is None:
+        raise ValueError(
+            "an SLA check needs sla_ms as a number of milliseconds, "
+            "got None"
+        )
+    check_sla(sla_ms)
     try:
         key = percentile.lower()
     except AttributeError:
@@ -153,8 +163,8 @@ class ReportSlaMixin:
     """
 
     def meets_sla(self, sla_ms: float, percentile: str = "p99") -> bool:
-        check_sla(sla_ms)
-        return getattr(self, resolve_percentile_field(percentile)) <= sla_ms
+        field = resolve_percentile_field(sla_ms, percentile)
+        return getattr(self, field) <= sla_ms
 
 
 @dataclass(frozen=True)
@@ -983,6 +993,7 @@ def max_sustainable_qps(
     seed: int = 0,
 ) -> tuple[float, list[ServingReport]]:
     """Largest grid point whose tail latency meets the SLA."""
+    resolve_percentile_field(sla_ms, percentile)
     policy = policy or BatchingPolicy()
     batch_latency_ms = as_curve(batch_latency_ms, policy.max_batch)
     best = 0.0

@@ -29,7 +29,11 @@ from repro.config.scale import SimScale
 from repro.core.pipeline import run_inference
 from repro.core.schemes import Scheme
 from repro.core.curve import MAX_BATCH, LatencyCurve, as_curve
-from repro.core.serving import LatencyModel, interpolated_latency_model
+from repro.core.serving import (
+    LatencyModel,
+    interpolated_latency_model,
+    resolve_percentile_field,
+)
 from repro.dlrm.timing import non_embedding_time
 from repro.gpusim.memo import KernelMemo
 from repro.fleet.report import FleetReport
@@ -201,6 +205,7 @@ def fleet_max_sustainable_qps(
     size), then bisects between the best passing and first failing grid
     points ``refine_iters`` times to sharpen the boundary.
     """
+    resolve_percentile_field(sla_ms, percentile)
     if qps_grid is None:
         qps_grid = [q * fleet.n_replicas for q in _PER_REPLICA_GRID]
     reports = []
@@ -250,6 +255,7 @@ def replicas_needed(
     ``make_fleet(n)`` builds the candidate fleet at size ``n`` — e.g.
     ``lambda n: FleetSpec.homogeneous(A100_SXM4_80GB, n, scheme=...)``.
     """
+    resolve_percentile_field(sla_ms, percentile)
     for n in range(1, max_replicas + 1):
         report = _simulate_capped(
             make_fleet(n), latency_models, qps=qps,
@@ -279,6 +285,7 @@ def autoscaler_sweep(
     Monotone in load, so the search at each grid point starts from the
     previous answer rather than from one replica.
     """
+    resolve_percentile_field(sla_ms, percentile)
     table: list[tuple[float, int | None]] = []
     floor = 1
     for qps in sorted(qps_grid):

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core import serving
 from repro.core.curve import LatencyCurve
 from repro.core.serving import (
     BatchingPolicy,
@@ -118,14 +119,22 @@ class TestSimulateServing:
                 batcher(max_batch=-3)
             assert batcher(max_batch=np.int64(8)).max_batch == 8
 
-    def test_continuous_batching_validation(self):
+    def test_continuous_batching_validation(self, monkeypatch):
         # the batcher's SLA rule is the one rule: the stream entry point,
         # the report's SLA check and the planner apply it too (each used
-        # to count no query as in time, or no load as sustainable)
+        # to count no query as in time, or no load as sustainable); the
+        # planner checks its SLA and percentile before it simulates
         report = simulate_serving(linear_model, qps=100, duration_s=1.0)
         stream = generate_arrivals(
             StationarySpec(base_qps=200, duration_s=1.0), seed=0
         )
+        runs = []
+
+        def counting(*args, **kwargs):
+            runs.append(kwargs["qps"])
+            return simulate_serving(*args, **kwargs)
+
+        monkeypatch.setattr(serving, "simulate_serving", counting)
         for bad in (float("nan"), float("inf"), 0.0, -5.0):
             match = rf"sla_ms .*{bad!r}"
             with pytest.raises(ValueError, match=match):
@@ -138,6 +147,16 @@ class TestSimulateServing:
             with pytest.raises(ValueError, match=match):
                 max_sustainable_qps(linear_model, sla_ms=bad,
                                     qps_grid=(100,))
+        # None means "no SLA" to a batcher, but an SLA check needs one
+        # (meets_sla used to die on p99 <= None with a bare TypeError)
+        with pytest.raises(ValueError, match=r"sla_ms .*None"):
+            report.meets_sla(None)
+        with pytest.raises(ValueError, match=r"sla_ms .*None"):
+            max_sustainable_qps(linear_model, sla_ms=None, qps_grid=(100,))
+        with pytest.raises(ValueError, match="unknown percentile 'p42'"):
+            max_sustainable_qps(linear_model, sla_ms=60.0, percentile="p42",
+                                qps_grid=(100,))
+        assert runs == []
         with pytest.raises(ValueError, match="max_batch"):
             ContinuousBatching(max_batch=0)
         assert ContinuousBatching(sla_ms=None).sla_ms is None
@@ -187,7 +206,7 @@ class TestMeetsSlaPercentiles:
             report.meets_sla(100.0, 99)
 
     def test_resolver_maps_fields(self):
-        assert resolve_percentile_field("p95") == "p95_ms"
+        assert resolve_percentile_field(100.0, "p95") == "p95_ms"
 
 
 class _SteadyStream:

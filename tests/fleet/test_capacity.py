@@ -6,12 +6,14 @@ from repro.config.gpu import A100_SXM4_80GB, H100_NVL
 from repro.config.model import PAPER_MODEL
 from repro.core.serving import BatchingPolicy
 from repro.dlrm.timing import non_embedding_time
+from repro.fleet import capacity
 from repro.fleet.capacity import (
     autoscaler_sweep,
     fleet_max_sustainable_qps,
     linear_latency_model,
     replicas_needed,
 )
+from repro.fleet.router import simulate_fleet
 from repro.fleet.topology import FleetSpec
 
 POLICY = BatchingPolicy(max_batch=512, timeout_ms=5.0)
@@ -70,21 +72,35 @@ class TestFleetMaxSustainableQps:
         assert best == 0.0
         assert len(reports) == 2  # no refinement without a passing point
 
-    @pytest.mark.parametrize("bad", [float("nan"), -5.0, 0.0])
-    def test_sla_must_be_finite_and_positive(self, bad):
-        # each planner used to return 0.0 (or no replica count) for it
-        match = rf"sla_ms .*{bad!r}"
+    @pytest.mark.parametrize("check, match", [
+        *(pytest.param({"sla_ms": bad}, rf"sla_ms .*{bad!r}", id=repr(bad))
+          for bad in (float("nan"), -5.0, 0.0, None)),
+        pytest.param({"sla_ms": 60.0, "percentile": "p42"},
+                     "unknown percentile 'p42'", id="p42"),
+    ])
+    def test_sla_must_be_finite_and_positive(self, check, match,
+                                             monkeypatch):
+        # each planner used to return 0.0 (or no replica count) for a
+        # bad SLA, and to reject it, a None SLA (with a bare TypeError)
+        # or an unknown percentile only after simulating one load
+        runs = []
+
+        def counting(*args, **kwargs):
+            runs.append(kwargs["qps"])
+            return simulate_fleet(*args, **kwargs)
+
+        monkeypatch.setattr(capacity, "simulate_fleet", counting)
         with pytest.raises(ValueError, match=match):
             fleet_max_sustainable_qps(
-                homo(1), MODELS, sla_ms=bad, qps_grid=(1000,),
-                duration_s=0.2,
+                homo(1), MODELS, qps_grid=(1000,), duration_s=0.2, **check,
             )
         with pytest.raises(ValueError, match=match):
-            replicas_needed(homo, MODELS, qps=1000, sla_ms=bad,
-                            duration_s=0.2, max_replicas=2)
+            replicas_needed(homo, MODELS, qps=1000, duration_s=0.2,
+                            max_replicas=2, **check)
         with pytest.raises(ValueError, match=match):
-            autoscaler_sweep(homo, MODELS, qps_grid=(1000,), sla_ms=bad,
-                             duration_s=0.2, max_replicas=2)
+            autoscaler_sweep(homo, MODELS, qps_grid=(1000,), duration_s=0.2,
+                             max_replicas=2, **check)
+        assert runs == []
 
 
 class TestReplicasNeeded:
