@@ -7,7 +7,8 @@ discrete-event serving engine that consumes *arrival streams* — a
 stationary Poisson process, or any non-stationary scenario produced by
 :mod:`repro.traffic` (diurnal load, flash crowds, MMPP bursts,
 popularity drift) — and batches them onto one GPU whose batch latency
-comes from the simulated pipeline.
+comes from the simulated pipeline.  Its event loop is also the one
+every replica of a routed fleet runs (:mod:`repro.fleet.router`).
 
 Two batch-formation disciplines are supported:
 
@@ -22,14 +23,6 @@ Two batch-formation disciplines are supported:
   degenerates to single-query batches with zero batching delay.  With
   ``sla_ms`` set, the batch size additionally adapts to SLA pressure
   (see the class docstring).
-
-One event loop serves every GPU timeline: a private ``_Timeline``
-holds one GPU's queue, its batcher's rule (:func:`batch_rule`), its
-clock and its batch columns, and commits batches in dispatch order up
-to a given time.  The single-GPU entry points advance one timeline over
-the whole stream; every replica of a routed fleet
-(:mod:`repro.fleet.router`) is a timeline that the router advances
-arrival by arrival.
 
 The executor's batch latency is a :class:`~repro.core.curve.LatencyCurve`
 table — by default interpolated between measured batch sizes, so one
@@ -58,15 +51,13 @@ _PERCENTILE_FIELDS = {"p50": "p50_ms", "p95": "p95_ms", "p99": "p99_ms"}
 
 
 def resolve_percentile_field(sla_ms: float, percentile: str) -> str:
-    """The report field an SLA check compares with ``sla_ms``: map a
-    percentile name (``"p99"``) to its field name (``"p99_ms"``).
+    """The report field an SLA check compares with ``sla_ms``
+    (``"p99"`` -> ``"p99_ms"``): the one entry of every SLA check, which
+    the planners call before they simulate anything.
 
-    The one entry of every SLA check: :meth:`ReportSlaMixin.meets_sla`
-    calls it, and the planners call it before they simulate anything.
-    ``sla_ms`` must be a number that passes :func:`check_sla` (None has
-    nothing to check against), and ``percentile`` one of the
-    percentiles the reports carry: either mistake raises ``ValueError``
-    instead of silently passing a check or dying mid-comparison.
+    Raises ``ValueError`` for a None SLA (nothing to check against), one
+    :func:`check_sla` rejects, or a percentile the reports do not carry
+    — none may silently pass a check or die mid-comparison.
     """
     if sla_ms is None:
         raise ValueError(
@@ -485,10 +476,6 @@ class _Timeline:
     batches, so mixed batches are rare and the approximation is
     second-order).  Every batch is decided by the batcher's
     :func:`batch_rule`, chosen once.
-
-    The single-GPU loop fills the queue with the whole stream and
-    advances to inf; a fleet replica is a timeline that the router
-    advances to each arrival before queueing that arrival on it.
     """
 
     __slots__ = (
@@ -513,14 +500,10 @@ class _Timeline:
 
     def advance(self, until: float) -> float:
         """Commit, in dispatch order, every batch that starts strictly
-        before ``until``, and return the pending batch's dispatch time
-        (inf once the queue is empty).
-
-        No arrival at ``until`` or later can join a batch that starts
-        before it, so a caller that advances to each arrival before
-        queueing it commits every batch on exactly the queries that
-        arrived by its dispatch time.
-        """
+        before ``until``; return the pending dispatch time (inf once the
+        queue is empty).  A caller that queues arrivals one by one
+        advances to each before queueing it: no later arrival can join
+        a batch that starts before it."""
         times = self.times
         phase_ids = self.phase_ids
         phase_ms = self.phase_ms

@@ -123,8 +123,8 @@ class RoutingPolicy:
     """Chooses a replica index for each arriving query.
 
     :meth:`start` opens a run.  An oblivious policy returns every
-    arrival's replica index there, up front, and the router serves each
-    replica's share with the single-GPU loop.  A state-aware policy
+    arrival's replica index there, up front, and the router queues each
+    replica's share on it at once.  A state-aware policy
     returns None and is asked :meth:`select` once per arrival, in
     arrival order, with the router's :class:`RouterState` lists as they
     stand at that arrival.  Either way, a replica index outside
@@ -380,13 +380,9 @@ def _route_stream(
 ) -> tuple[list[BatchBlock], RoutingPolicy]:
     """Route a time-sorted arrival stream and drain every replica: one
     batch block per replica, and the policy that routed.  Each
-    replica's curve is resolved to a table once, at entry.
-
-    The two router paths differ only in how the replicas' queues fill:
-    an up-front assignment hands each replica its whole share, a
-    per-arrival policy routes arrival by arrival.  Either way every
-    replica's timeline is then advanced until its queue is empty.
-    """
+    replica's curve is resolved to a table once, at entry.  The two
+    paths differ only in how the replicas' queues fill: up front, or
+    arrival by arrival."""
     curves = resolve_latency_models(fleet, latency_models)
     router = resolve_policy(policy)
     # distinct stream from the arrival-generation rng: sampling policies
