@@ -16,8 +16,7 @@ batcher's rule, built afresh per call (``batch_rule(policy)(times,
 head, gpu_free, curve.ms)``); a batch commits with the size that
 decision gave.  Pass ``dues`` (a list) to collect every replica's due
 time as each arrival finds it, the lists the router's
-``RouterState.due`` must match.  The test names that say
-``next_batch`` name this decision, once a one-call library function.
+``RouterState.due`` must match.
 """
 
 from __future__ import annotations
