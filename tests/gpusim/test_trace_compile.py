@@ -11,12 +11,14 @@ state.  ``tests/golden/kernels.json`` pins the same lineup's numbers.
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.core.embedding import run_table_kernel
 from repro.core.schemes import Scheme
 from repro.datasets.generator import generate_trace
 from repro.datasets.spec import HOTNESS_PRESETS
+from repro.datasets.trace import EmbeddingTrace
 from repro.gpusim.engine import run_kernel
 from repro.gpusim.isa import OP_ALU, OP_LD_GLOBAL
 from repro.gpusim.memo import (
@@ -43,6 +45,34 @@ from tests.gpusim.reference_engine import (
     run_reference,
     to_programs,
 )
+
+
+#: Bag sizes of the ragged launch: two empty bags and six row counts,
+#: so one launch lowers several warp shapes.
+RAGGED_BAGS = (0, 3, 7, 1, 12, 0, 5, 9)
+
+#: Every variant the builder lowers: base, OptMT and a tight register
+#: cap, then every prefetch station at several distances, with and
+#: without OptMT.
+RAGGED_SCHEMES = (
+    Scheme(), Scheme(optmt=True), Scheme(maxrregcount=32),
+) + tuple(
+    Scheme(prefetch=station, prefetch_distance=distance, optmt=optmt)
+    for station in ("register", "shared", "local", "l1d")
+    for distance in (1, 2, 3, 5)
+    for optmt in (False, True)
+)
+
+
+def ragged_trace() -> EmbeddingTrace:
+    rng = np.random.default_rng(23)
+    table_rows = 4096
+    return EmbeddingTrace(
+        name="ragged",
+        indices=rng.integers(0, table_rows, sum(RAGGED_BAGS)),
+        offsets=np.concatenate(([0], np.cumsum(RAGGED_BAGS))),
+        table_rows=table_rows,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +138,21 @@ class TestCompiledEquivalence:
         lowered = compile_programs(build_programs(*args))
         assert structured == lowered
         assert structured.fingerprint() == lowered.fingerprint()
+
+    @pytest.mark.parametrize(
+        "scheme", RAGGED_SCHEMES,
+        ids=lambda s: f"{s.name}-d{s.resolved_distance()}",
+    )
+    def test_ragged_bags_match_lowered_generators(self, workload, scheme):
+        """Bags of different sizes, empty ones included: each launch
+        mixes warp shapes, and every one matches the generator
+        programs op for op."""
+        args = (
+            ragged_trace(),
+            scheme.compile(workload.gpu),
+            AddressMap(row_bytes=workload.row_bytes),
+        )
+        assert build_trace(*args) == compile_programs(build_programs(*args))
 
     def test_pinned_kernel_equivalence(self):
         """The L2-pinning variant: pinned hierarchy state, both paths."""
