@@ -42,7 +42,7 @@ from repro.gpusim.hierarchy import MemoryHierarchy
 from repro.gpusim.memo import KernelMemo
 from repro.kernels import calibration as cal
 from repro.kernels.address_map import STREAMING_RANGE, AddressMap
-from repro.kernels.registry import build_trace
+from repro.kernels.embedding_bag import build_trace
 from tests.gpusim.reference_engine import build_programs, run_reference
 
 BASELINE_PATH = Path(__file__).parent / "engine_throughput_baseline.json"

@@ -34,7 +34,7 @@ from repro.kernels.pinning import (
     profile_hot_rows,
     simulate_pin_kernel,
 )
-from repro.kernels.registry import build_trace
+from repro.kernels.embedding_bag import build_trace
 from repro.memstore.store import EmbeddingStore, TierStats
 
 

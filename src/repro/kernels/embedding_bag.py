@@ -1,4 +1,5 @@
-"""The stock embedding-bag CUDA kernel (Algorithm 2), lowered to warp traces.
+"""The embedding-bag CUDA kernel (Algorithm 2) and its software-prefetching
+variants (Sec. IV-B), lowered to warp traces.
 
 Work partitioning follows the paper's Figure 4: each sample's output row
 is split across ``row_bytes / 128`` warps (4 warps for a 128-dim fp32
@@ -13,18 +14,41 @@ Per gather-reduce iteration a warp:
 plus register-spill round-trips to local memory when the compiler was
 forced below the kernel's register demand.
 
-The builders lower each kernel variant straight into a
-:class:`~repro.gpusim.trace.CompiledTrace`: the op shape of a gather
-iteration (and of its spill round-trips) is a fixed column pattern
-extended onto the trace columns, and dependency-free ALU ops are fused
-into the burst they follow.  ``tests/golden/kernels.json`` pins the
-lowered op streams by content fingerprint, and
-``tests/gpusim/reference_engine.py`` keeps the op streams as readable
-generator programs that ``tests/gpusim/test_trace_compile.py`` pins the
-builders to.
+The prefetching variants batch the indirect gather loads ``d``
+iterations ahead (Figure 8), differing only in the buffer station:
+
+* **RPF** — buffer registers; consumption is free but register demand
+  grows with ``d`` (occupancy collapse without OptMT).
+* **SMPF** — shared memory; a store burst parks the data, consumption
+  pays the 29-cycle shared latency.
+* **LMPF** — local memory; same shape as SMPF but the buffer round-trips
+  through L1 and counts as local traffic.
+* **L1DPF** — ``prefetch.global.L1``; no buffer registers, but the
+  demand loop still executes in full, making it the highest-overhead,
+  lowest-gain variant.
+
+The prefetch burst issues the ``d`` row loads back-to-back, so their
+latencies overlap; the group then pays roughly one memory latency
+instead of ``d`` — which is exactly the scoreboard-driven hiding the
+paper engineers.  The stock kernel is the register station one row
+ahead, without the trigger check or the consume overhead, and with its
+own row tag.
+
+:func:`build_trace` lowers every variant straight into a
+:class:`~repro.gpusim.trace.CompiledTrace`.  A warp's columns depend
+only on how many rows it gathers, except for its addresses, so each
+warp shape is built once per launch — all five columns, with
+dependency-free ALU ops fused into the burst before them, plus the
+positions of its address operands — and each warp fills in only those
+positions.  ``tests/golden/kernels.json`` pins the lowered op streams
+by content fingerprint, and ``tests/gpusim/reference_engine.py`` keeps
+the op streams as readable generator programs that
+``tests/gpusim/test_trace_compile.py`` pins the builder to.
 """
 
 from __future__ import annotations
+
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -34,8 +58,11 @@ from repro.gpusim.isa import (
     OP_ALU,
     OP_LD_GLOBAL,
     OP_LD_LOCAL,
+    OP_LD_SHARED,
+    OP_PREFETCH_L1,
     OP_ST_GLOBAL,
     OP_ST_LOCAL,
+    OP_ST_SHARED,
 )
 from repro.gpusim.trace import CompiledTrace, TraceBuilder
 from repro.kernels import calibration as cal
@@ -105,115 +132,182 @@ def spill_schedule(spill_pairs: float, n_iters: int) -> list[int]:
     return counts
 
 
-def _base_shape(spill_counts: list[int]) -> tuple[list, list, list, list]:
-    """The kind, b, tag and dep columns of one base-kernel warp that
-    gathers ``len(spill_counts)`` rows: the shape every such warp of a
-    launch shares.  The epilogue ALU is fused into the burst before it,
-    so it adds no op."""
-    shape: tuple[list, list, list, list] = ([], [], [], [])
-    kinds, b, tags, deps = shape
+class _WarpShape(NamedTuple):
+    """The trace of one warp that gathers a given number of rows.
 
-    def op(kind: int, sectors: int = 0, tag: int = -1,
-           dep: int = -1) -> None:
-        kinds.append(kind)
-        b.append(sectors)
-        tags.append(tag)
-        deps.append(dep)
-
-    op(OP_LD_GLOBAL, 1, TAG_OFF)
-    op(OP_ALU, dep=TAG_OFF)
-    for spills in spill_counts:
-        op(OP_LD_GLOBAL, 1, TAG_IDX)
-        op(OP_ALU, dep=TAG_IDX)
-        op(OP_LD_GLOBAL, 4, TAG_ROW)
-        op(OP_ALU, dep=TAG_ROW)
-        for _ in range(spills):
-            op(OP_ST_LOCAL, 4)
-            op(OP_LD_LOCAL, 4, TAG_SPILL)
-            op(OP_ALU, dep=TAG_SPILL)
-    op(OP_ST_GLOBAL, 4)
-    return shape
-
-
-def build_base_trace(
-    trace: EmbeddingTrace,
-    build: KernelBuild,
-    amap: AddressMap,
-    *,
-    warp_uid_base: int = 0,
-) -> CompiledTrace:
-    """Compiled trace for a baseline (or OptMT) kernel launch.
-
-    A warp's op shape — its kind, operand-B, tag and dep columns —
-    depends only on how many rows it gathers: the offsets load and
-    prologue ALU, one 4-op gather iteration per row followed by that
-    iteration's spill round-trips, and the output store.  Each shape is
-    built once per launch (:func:`_base_shape`) and extended onto the
-    columns; per warp only operand A is computed, in the same order.
-    The epilogue ALU is dependency-free and always follows an ALU burst
-    (prologue, accumulate or spill-consume), so it is fused into it.
+    ``a`` is the operand-A column with its address operands left at 0;
+    each ``*_pos`` array holds the positions of one kind of address
+    operand, and the array after it what a warp adds to its base: the
+    index load's byte offset ``8 * k``, the row ``k`` whose chunk is
+    loaded, and the line's offset in the warp's local window.  The
+    offsets load is the first op and the output store the last.
     """
-    spill_pairs, spill_lines = spill_state(build)
-    row_bytes = amap.row_bytes
-    addr_alu = cal.ADDR_CALC_ALU
-    accum_alu = cal.ACCUM_ALU
-    spill_consume_alu = cal.SPILL_CONSUME_ALU
-    local_line = AddressMap.local_line
-    row_base = amap.row_addr(0)
-    spill_counts = spill_schedule(
-        spill_pairs, int(np.diff(trace.offsets).max())
-    )
-    shapes: dict[int, tuple[list, list, list, list]] = {}
+
+    kind: list[int]
+    a: np.ndarray
+    b: list[int]
+    tag: list[int]
+    dep: list[int]
+    index_pos: np.ndarray
+    index_off: np.ndarray
+    row_pos: np.ndarray
+    row_k: np.ndarray
+    local_pos: np.ndarray
+    local_off: np.ndarray
+
+
+def _warp_shape(build: KernelBuild, spill_counts: list[int]) -> _WarpShape:
+    """The shape of one warp of ``build`` that gathers
+    ``len(spill_counts)`` rows.
+
+    Per warp: the offsets load and prologue ALU; then, per trigger group
+    of up to ``d`` rows, the trigger ALU, a burst of back-to-back gather
+    loads, their parking in the buffer station, and one consume step
+    per row, each followed by its register-spill round-trips; the
+    epilogue ALU and the output store close the warp.  The trigger and
+    epilogue ALU carry no dependency and always follow an ALU burst, so
+    they are fused into it (the stock kernel's trigger adds 0 cycles).
+    """
+    station = build.prefetch
+    spill_lines = spill_state(build)[1]
+    if station is None:  # the stock kernel: registers, one row ahead
+        station, distance = "register", 1
+        trigger_alu, consume_alu, row_tags = 0, cal.ACCUM_ALU, (TAG_ROW,)
+    else:
+        distance = build.prefetch_distance
+        trigger_alu = cal.PF_TRIGGER_ALU
+        consume_alu = cal.ACCUM_ALU + cal.PF_CONSUME_EXTRA_ALU[station]
+        row_tags = tuple(TAG_PF_BASE + j for j in range(distance))
+    burst_alu = cal.L1DPF_BURST_ALU if station == "l1d" else cal.ADDR_CALC_ALU
+    window_base = AddressMap.local_window(0)
 
     builder = TraceBuilder()
-    kind_col = builder.kind
-    a_col = builder.a
-    b_col = builder.b
-    tag_col = builder.tag
-    dep_col = builder.dep
-    end_warp = builder.end_warp
+    append = builder.append
+    index_slots: list[tuple[int, int]] = []
+    row_slots: list[tuple[int, int]] = []
+    local_slots: list[tuple[int, int]] = []
 
-    uid = warp_uid_base
-    for sample, col_off, begin, rows in iter_warp_work(trace, row_bytes):
-        n = len(rows)
+    def load(kind: int, slot: list, arg: int, sectors: int,
+             tag: int = -1, dep: int = -1) -> None:
+        """Append a memory op whose address a warp fills in."""
+        slot.append((len(builder.kind), arg))
+        append(kind, 0, sectors, tag, dep)
+
+    def local(slot: int) -> int:
+        return AddressMap.local_line(0, slot) - window_base
+
+    n = len(spill_counts)
+    append(OP_LD_GLOBAL, 0, 1, TAG_OFF)
+    append(OP_ALU, cal.PROLOGUE_ALU, dep=TAG_OFF)
+    spill_slot = 0
+    for i in range(0, n, distance):
+        batch = min(distance, n - i)
+        append(OP_ALU, trigger_alu)
+        # --- prefetch burst: gather loads issued back-to-back ----------
+        for j in range(batch):
+            load(OP_LD_GLOBAL, index_slots, 8 * (i + j), 1, TAG_IDX)
+            append(OP_ALU, burst_alu, dep=TAG_IDX)
+            if station == "l1d":
+                load(OP_PREFETCH_L1, row_slots, i + j, 4)
+            else:
+                load(OP_LD_GLOBAL, row_slots, i + j, 4, row_tags[j])
+        # --- park the burst in the buffer station -----------------------
+        for j in range(batch):
+            if station == "shared":
+                append(OP_ST_SHARED, dep=TAG_PF_BASE + j)
+            elif station == "local":
+                load(OP_ST_LOCAL, local_slots, local(LMPF_SLOT_BASE + j),
+                     4, dep=TAG_PF_BASE + j)
+        # --- consume one iteration at a time ----------------------------
+        for j in range(batch):
+            if station == "register":
+                append(OP_ALU, consume_alu, dep=row_tags[j])
+            elif station == "shared":
+                append(OP_LD_SHARED, tag=TAG_SMEM)
+                append(OP_ALU, consume_alu, dep=TAG_SMEM)
+            elif station == "local":
+                load(OP_LD_LOCAL, local_slots, local(LMPF_SLOT_BASE + j),
+                     4, TAG_LOCAL_PF)
+                append(OP_ALU, consume_alu, dep=TAG_LOCAL_PF)
+            else:  # l1d: the demand loop runs in full, hitting L1
+                load(OP_LD_GLOBAL, index_slots, 8 * (i + j), 1, TAG_IDX)
+                append(OP_ALU, cal.ADDR_CALC_ALU, dep=TAG_IDX)
+                load(OP_LD_GLOBAL, row_slots, i + j, 4, TAG_PF_BASE)
+                append(OP_ALU, consume_alu, dep=TAG_PF_BASE)
+            for _ in range(spill_counts[i + j]):
+                line = local(spill_slot % spill_lines)
+                spill_slot += 1
+                load(OP_ST_LOCAL, local_slots, line, 4)
+                load(OP_LD_LOCAL, local_slots, line, 4, TAG_SPILL)
+                append(OP_ALU, cal.SPILL_CONSUME_ALU, dep=TAG_SPILL)
+    append(OP_ALU, cal.EPILOGUE_ALU)
+    append(OP_ST_GLOBAL, 0, 4)
+    return _WarpShape(
+        builder.kind, np.array(builder.a, dtype=np.int64),
+        builder.b, builder.tag, builder.dep,
+        *_split(index_slots), *_split(row_slots), *_split(local_slots),
+    )
+
+
+def _split(slots: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """``(positions, args)`` arrays of a list of ``(position, arg)``."""
+    positions, args = np.array(slots, dtype=np.int64).reshape(-1, 2).T
+    return positions, args
+
+
+def build_trace(
+    trace: EmbeddingTrace, build: KernelBuild, amap: AddressMap
+) -> CompiledTrace:
+    """Compiled trace for one table's kernel launch under any variant.
+
+    Warps run in :func:`iter_warp_work` order, and warp ``w`` owns local
+    window ``w``.  The warps of a run of samples with equal bag sizes
+    share one shape (:func:`_warp_shape`, built once per row count):
+    they extend the columns with the shape's and fill in its address
+    operands together.
+    """
+    wps = warps_per_sample(amap.row_bytes)
+    offsets = trace.offsets.astype(np.int64)
+    bags = np.diff(offsets)
+    spill_counts = spill_schedule(spill_state(build)[0], int(bags.max()))
+    row_addrs = amap.row_addr(0) + amap.row_bytes * trace.indices.astype(
+        np.int64
+    )
+    shapes: dict[int, _WarpShape] = {}
+    kind: list[int] = []
+    a: list[int] = []
+    b: list[int] = []
+    tag: list[int] = []
+    dep: list[int] = []
+    warp_starts = [0]
+    runs = np.flatnonzero(np.diff(bags, prepend=-1)).tolist()
+    for first, end in zip(runs, runs[1:] + [trace.batch_size]):
+        n = int(bags[first])
         shape = shapes.get(n)
         if shape is None:
-            shape = shapes[n] = _base_shape(spill_counts[:n])
-        kind_col.extend(shape[0])
-        b_col.extend(shape[1])
-        tag_col.extend(shape[2])
-        dep_col.extend(shape[3])
-
-        a_col.extend((amap.offsets_addr(sample), cal.PROLOGUE_ALU))
-        idx_addr = amap.index_addr(begin)
-        chunk_base = row_base + col_off
-        if spill_pairs == 0.0:
-            for row in rows:
-                a_col.extend((
-                    idx_addr, addr_alu,
-                    chunk_base + row * row_bytes, accum_alu,
-                ))
-                idx_addr += 8
-        else:
-            spill_addrs = [
-                local_line(uid, slot) for slot in range(spill_lines)
-            ]
-            spill_slot = 0
-            for row, spills in zip(rows, spill_counts):
-                a_col.extend((
-                    idx_addr, addr_alu,
-                    chunk_base + row * row_bytes, accum_alu,
-                ))
-                idx_addr += 8
-                for _ in range(spills):
-                    addr = spill_addrs[spill_slot % spill_lines]
-                    spill_slot += 1
-                    a_col.extend((addr, addr, spill_consume_alu))
-        a_col[-1] += cal.EPILOGUE_ALU  # fused into the burst before it
-        a_col.append(amap.output_addr(sample, col_off))
-        end_warp()
-        uid += 1
-    return builder.build()
+            shape = shapes[n] = _warp_shape(build, spill_counts[:n])
+        warps = np.arange(first * wps, end * wps)
+        samples = warps // wps
+        col_offs = warps % wps * CACHE_LINE_BYTES
+        begins = offsets[samples, None]
+        fill = np.tile(shape.a, (len(warps), 1))
+        fill[:, 0] = amap.offsets_addr(samples)
+        fill[:, shape.index_pos] = amap.index_addr(begins) + shape.index_off
+        fill[:, shape.row_pos] = (
+            row_addrs[begins + shape.row_k] + col_offs[:, None]
+        )
+        fill[:, shape.local_pos] = (
+            AddressMap.local_window(warps)[:, None] + shape.local_off
+        )
+        fill[:, -1] = amap.output_addr(samples, col_offs)
+        a += fill.ravel().tolist()
+        kind += shape.kind * len(warps)
+        b += shape.b * len(warps)
+        tag += shape.tag * len(warps)
+        dep += shape.dep * len(warps)
+        size = len(shape.kind)
+        warp_starts += range(warp_starts[-1] + size, len(kind) + 1, size)
+    return CompiledTrace(kind, a, b, tag, dep, warp_starts)
 
 
 def expected_global_loads(trace: EmbeddingTrace, row_bytes: int) -> int:

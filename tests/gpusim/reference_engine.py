@@ -266,7 +266,7 @@ def build_programs(
     warp_uid_base: int = 0,
 ) -> list[WarpProgram]:
     """Warp programs for one table's kernel launch under any variant
-    (the generator twin of ``repro.kernels.registry.build_trace``)."""
+    (the generator twin of ``repro.kernels.embedding_bag.build_trace``)."""
     if build.prefetch is None:
         return build_base_programs(
             trace, build, amap, warp_uid_base=warp_uid_base

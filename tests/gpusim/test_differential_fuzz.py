@@ -25,7 +25,7 @@ import pytest
 
 from repro.gpusim.engine import run_kernel
 from repro.gpusim.profiler import HierarchyStats
-from repro.kernels.registry import build_trace
+from repro.kernels.embedding_bag import build_trace
 from tests.gpusim.kernel_cases import draw_case, fuzz_case_params, fuzz_launch
 from tests.gpusim.reference_engine import build_programs, run_reference
 

@@ -32,7 +32,7 @@ from repro.gpusim.hierarchy import MemoryHierarchy
 from repro.gpusim.profiler import HierarchyStats
 from repro.kernels.address_map import AddressMap
 from repro.kernels.pinning import build_pin_kernel_trace, simulate_pin_kernel
-from repro.kernels.registry import build_trace
+from repro.kernels.embedding_bag import build_trace
 from tests.gpusim.kernel_cases import (
     CURATED_LAUNCHES,
     curated_launch,

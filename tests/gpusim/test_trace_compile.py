@@ -30,7 +30,7 @@ from repro.gpusim.profiler import HierarchyStats
 from repro.gpusim.trace import TraceBuilder
 from repro.kernels.address_map import AddressMap
 from repro.kernels.pinning import build_pin_kernel_trace
-from repro.kernels.registry import build_trace
+from repro.kernels.embedding_bag import build_trace
 from tests.gpusim.kernel_cases import (
     CURATED_SCHEMES,
     PINNED_SCHEME,
