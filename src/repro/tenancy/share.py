@@ -359,6 +359,19 @@ def fold_zoo_report(run: GroupRun) -> ZooReport:
     )
 
 
+def _check_streams(
+    zoo: ZooSpec, streams: Mapping[str, ScenarioTrace]
+) -> None:
+    """Given streams must name exactly the zoo's tenants."""
+    missing = sorted(set(zoo.tenant_names) - set(streams))
+    extra = sorted(set(streams) - set(zoo.tenant_names))
+    if missing or extra:
+        raise KeyError(
+            f"streams must name exactly the zoo's tenants: "
+            f"missing {missing}, extra {extra}"
+        )
+
+
 def simulate_zoo_serving(
     zoo: ZooSpec,
     latency_models: Mapping[str, object],
@@ -381,7 +394,8 @@ def simulate_zoo_serving(
     contention factor off its co-runners' demands and measured loads,
     and the contended pass produces the per-tenant reports.  With
     ``demands`` omitted every tenant is assumed fully demanding
-    (``ShareDemand(1, 1)``) — the conservative worst case.
+    (``ShareDemand(1, 1)``) — the conservative worst case.  Given
+    ``streams`` must name exactly the zoo's tenants (``KeyError``).
 
     The contended pass re-serves only the tenants whose factor moved.
     A tenant whose factor is exactly 1.0 would be served through its
@@ -400,6 +414,8 @@ def simulate_zoo_serving(
         raise KeyError(f"no latency model for tenants {missing}")
     if streams is None:
         streams = zoo.streams(seed)
+    else:
+        _check_streams(zoo, streams)
     if demands is None:
         demands = {
             name: ShareDemand(1.0, 1.0) for name in zoo.tenant_names
@@ -522,6 +538,7 @@ def simulate_zoo_fleet(
     interference function prices a contention factor per (replica,
     tenant) from the co-residents *on that replica*, and the contended
     pass yields per-tenant :class:`~repro.fleet.report.FleetReport`s.
+    Given ``streams`` must name exactly the zoo's tenants (``KeyError``).
 
     The contended pass re-routes only the tenants whose factor moved on
     some replica they serve; one at exactly 1.0 everywhere keeps its
@@ -536,6 +553,8 @@ def simulate_zoo_fleet(
         raise KeyError(f"no latency models for tenants {missing}")
     if streams is None:
         streams = zoo.streams(seed)
+    else:
+        _check_streams(zoo, streams)
     if demands is None:
         demands = {
             name: ShareDemand(1.0, 1.0) for name in zoo.tenant_names

@@ -83,6 +83,59 @@ def test_simulate_zoo_serving_requires_all_models():
         simulate_zoo_serving(zoo, {zoo.tenant_names[0]: _toy})
 
 
+def _counting(monkeypatch, name):
+    """Count the calls a zoo entry point makes to ``name``."""
+    import repro.tenancy.share as share
+
+    calls = []
+    real = getattr(share, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(share, name, counted)
+    return calls
+
+
+def _bad_streams(zoo, case):
+    """The zoo's streams without its last tenant, or with an extra one."""
+    streams = zoo.streams(0)
+    last = zoo.tenant_names[-1]
+    if case == "missing":
+        return {name: streams[name] for name in zoo.tenant_names[:-1]}
+    return dict(streams, outsider=streams[last])
+
+
+@pytest.mark.parametrize("case", ["missing", "extra"])
+def test_zoo_serving_checks_streams_before_serving(monkeypatch, case):
+    zoo = example_zoo(3, base_qps=300.0, duration_s=1.0)
+    streams = _bad_streams(zoo, case)
+    models = {name: _toy for name in [*zoo.tenant_names, "outsider"]}
+    calls = _counting(monkeypatch, "serve_tenant_streams")
+    with pytest.raises(KeyError, match=f"{case} \\['"):
+        simulate_zoo_serving(zoo, models, streams=streams)
+    assert calls == []
+
+
+@pytest.mark.parametrize("case", ["missing", "extra"])
+def test_zoo_fleet_checks_streams_before_routing(monkeypatch, case):
+    zoo = example_zoo(3, base_qps=300.0, duration_s=1.0)
+    streams = _bad_streams(zoo, case)
+    fleet = FleetSpec.mixed(
+        {A100_SXM4_80GB: 1},
+        batching=BatchingPolicy(max_batch=32, timeout_ms=2.0),
+    )
+    models = {
+        name: {A100_SXM4_80GB.name: _curve(2.0, 0.05)}
+        for name in [*zoo.tenant_names, "outsider"]
+    }
+    calls = _counting(monkeypatch, "simulate_fleet_tenant_streams")
+    with pytest.raises(KeyError, match=f"{case} \\['"):
+        simulate_zoo_fleet(zoo, fleet, models, streams=streams)
+    assert calls == []
+
+
 def test_consolidation_erodes_tails_not_correctness():
     """Co-residency must slow tenants down, never lose their queries."""
     zoo = example_zoo(3, base_qps=2000.0, duration_s=2.0, sla_ms=50.0)
