@@ -130,6 +130,30 @@ class CaptureSink(Sink):
         self.runs.append(run)
 
 
+def _max_queue_depth(blocks: list[ArrivalBlock | BatchBlock]) -> int:
+    """Peak number of queries waiting over one run's blocks, on any
+    replica: the maximum of
+    :func:`repro.telemetry.derive.queue_depth_timeline`.
+
+    The depth just before a dispatch instant ``s`` is the arrivals at
+    or before ``s`` minus the members dispatched strictly before ``s``;
+    depth only rises at arrivals, so its peak is one of these values.
+    """
+    arrivals = [b.times for b in blocks if isinstance(b, ArrivalBlock)]
+    batches = [b for b in blocks if isinstance(b, BatchBlock) and len(b)]
+    if not arrivals or not batches:
+        return 0
+    starts = np.concatenate([np.asarray(b.starts, float) for b in batches])
+    sizes = np.concatenate([np.asarray(b.sizes, np.int64) for b in batches])
+    order = np.argsort(starts, kind="stable")
+    starts = starts[order]
+    dispatched = np.concatenate(([0], np.cumsum(sizes[order])))
+    before = dispatched[np.searchsorted(starts, starts, side="left")]
+    arrived = np.searchsorted(np.asarray(arrivals[0], float), starts,
+                              side="right")
+    return int(np.max(arrived - before))
+
+
 class StatsSink(Sink):
     """In-memory aggregation: event counts, cache totals, run summaries.
 
@@ -147,7 +171,8 @@ class StatsSink(Sink):
             "host_rows": 0, "host_bytes": 0, "host_us": 0.0,
         }
         self.runs: list[dict[str, Any]] = []
-        self._stack: list[dict[str, Any]] = []
+        # (summary, blocks) of each open run, innermost last
+        self._stack: list[tuple[dict[str, Any], list]] = []
 
     def _count(self, kind: str, n: int = 1) -> None:
         self.counts[kind] = self.counts.get(kind, 0) + n
@@ -162,17 +187,19 @@ class StatsSink(Sink):
                 or meta.get("zoo") or meta.get("fleet")
                 or meta.get("scheme_name") or "?"
             )
-            self._stack.append({
+            self._stack.append(({
                 "kind": meta.get("kind", "?"),
                 "name": name,
                 "n_queries": 0, "n_batches": 0,
                 "busy_s": 0.0, "max_queue_depth": 0,
-            })
+            }, []))
             return
         if kind == "run_end":
             self._count(kind)
             if self._stack:
-                self.runs.append(self._stack.pop())
+                current, blocks = self._stack.pop()
+                current["max_queue_depth"] = _max_queue_depth(blocks)
+                self.runs.append(current)
             return
         self._count(kind)
         if kind == "cache_hit":
@@ -187,9 +214,9 @@ class StatsSink(Sink):
             self.cache["host_us"] += event.us
 
     def emit_block(self, block: ArrivalBlock | BatchBlock) -> None:
-        current = self._stack[-1] if self._stack else None
+        current, blocks = self._stack[-1] if self._stack else (None, [])
+        blocks.append(block)
         if isinstance(block, ArrivalBlock):
-            self._arrivals = block
             n = len(block)
             self._count("arrival", n)
             if n:
@@ -208,27 +235,6 @@ class StatsSink(Sink):
         if current is not None:
             current["n_batches"] += n_batches
             current["busy_s"] += float(np.sum(block.exec_s))
-            depth = self._max_queue_depth(block)
-            current["max_queue_depth"] = max(
-                current["max_queue_depth"], depth
-            )
-
-    def _max_queue_depth(self, block: BatchBlock) -> int:
-        """Peak number of queries waiting, sampled just before each
-        dispatch — where a queue fed only by arrivals peaks."""
-        if not len(block):
-            return 0
-        try:
-            member_times, _ = block.members(self._arrivals)
-        except ValueError:
-            return 0
-        if not len(member_times):
-            return 0
-        arrived = np.searchsorted(member_times, block.starts, side="right")
-        dispatched = np.concatenate(
-            ([0], np.cumsum(np.asarray(block.sizes))[:-1])
-        )
-        return int(np.max(arrived - dispatched))
 
     def summary(self) -> dict[str, Any]:
         return {

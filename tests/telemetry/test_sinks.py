@@ -4,7 +4,14 @@ import io
 import json
 
 import numpy as np
+import pytest
 
+from repro.config.gpu import A100_SXM4_80GB, H100_NVL
+from repro.core.curve import LatencyCurve
+from repro.core.serving import BatchingPolicy, serve_stream
+from repro.fleet import ROUTING_POLICIES, FleetSpec
+from repro.fleet.router import simulate_fleet_stream
+from repro.telemetry.derive import max_queue_depth
 from repro.telemetry.events import (
     SCHEMA_VERSION,
     ArrivalBlock,
@@ -18,6 +25,7 @@ from repro.telemetry.events import (
 )
 from repro.telemetry.sinks import (
     NULL_SINK,
+    CaptureSink,
     ConsoleSink,
     MultiSink,
     NullSink,
@@ -31,6 +39,7 @@ from repro.telemetry.sinks import (
     set_default_sink,
     use_sink,
 )
+from repro.traffic.scenario import FlashCrowdSpec
 
 
 def _run(n=6, batch_sizes=(3, 3)):
@@ -52,6 +61,25 @@ def _run(n=6, batch_sizes=(3, 3)):
         arrivals=arrivals,
         batches=batches,
     )
+
+
+#: A flash crowd that backs queries up on every replica of the fleet.
+FLASH = FlashCrowdSpec(
+    base_qps=1500.0, duration_s=2.0, spike_at_s=0.5, magnitude=6.0
+).sample(0)
+BATCHER = BatchingPolicy(max_batch=32, timeout_ms=2.0)
+CURVES = {
+    A100_SXM4_80GB.name: LatencyCurve.from_fn(lambda b: 2.0 + 0.05 * b, 64),
+    H100_NVL.name: LatencyCurve.from_fn(lambda b: 1.5 + 0.03 * b, 64),
+}
+
+
+def _peak_queue(run):
+    """StatsSink's peak queue for a captured run."""
+    stats = StatsSink()
+    stats.emit_run(run)
+    (summary,) = stats.summary()["runs"]
+    return summary["max_queue_depth"]
 
 
 class TestDefaultSink:
@@ -121,6 +149,25 @@ class TestStatsSink:
         assert summary["n_queries"] == 6
         assert summary["n_batches"] == 2
         assert summary["max_queue_depth"] >= 1
+
+    def test_peak_queue_is_derives_on_a_stream_run(self):
+        capture = CaptureSink()
+        serve_stream(CURVES[A100_SXM4_80GB.name], FLASH, policy=BATCHER,
+                     sink=capture)
+        (run,) = capture.runs
+        assert _peak_queue(run) == max_queue_depth(run) > 1
+
+    @pytest.mark.parametrize("policy", list(ROUTING_POLICIES))
+    def test_peak_queue_is_derives_on_a_fleet_run(self, policy):
+        """The peak counts the queues of every replica together."""
+        fleet = FleetSpec.mixed(
+            {A100_SXM4_80GB: 2, H100_NVL: 2}, batching=BATCHER
+        )
+        capture = CaptureSink()
+        simulate_fleet_stream(fleet, CURVES, FLASH, policy=policy,
+                              sink=capture)
+        (run,) = capture.runs
+        assert _peak_queue(run) == max_queue_depth(run) > 1
 
     def test_cache_totals(self):
         stats = StatsSink()
