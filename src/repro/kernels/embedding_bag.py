@@ -194,6 +194,7 @@ def _warp_shape(build: KernelBuild, spill_counts: list[int]) -> _WarpShape:
         append(kind, 0, sectors, tag, dep)
 
     def local(slot: int) -> int:
+        """Offset of local line ``slot`` in a warp's window."""
         return AddressMap.local_line(0, slot) - window_base
 
     n = len(spill_counts)

@@ -47,9 +47,10 @@ from tests.gpusim.reference_engine import (
 )
 
 
-#: Bag sizes of the ragged launch: two empty bags and six row counts,
-#: so one launch lowers several warp shapes.
-RAGGED_BAGS = (0, 3, 7, 1, 12, 0, 5, 9)
+#: Bag sizes of the ragged launch: two empty bags, six row counts and a
+#: run of equal bags mid-launch, so one launch lowers several warp
+#: shapes and shares one among consecutive samples.
+RAGGED_BAGS = (0, 3, 7, 1, 12, 0, 5, 9, 9, 9)
 
 #: Every variant the builder lowers: base, OptMT and a tight register
 #: cap, then every prefetch station at several distances, with and

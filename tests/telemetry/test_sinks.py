@@ -150,7 +150,7 @@ class TestStatsSink:
         assert summary["n_batches"] == 2
         assert summary["max_queue_depth"] >= 1
 
-    def test_peak_queue_is_derives_on_a_stream_run(self):
+    def test_peak_queue_matches_derive_on_a_stream_run(self):
         capture = CaptureSink()
         serve_stream(CURVES[A100_SXM4_80GB.name], FLASH, policy=BATCHER,
                      sink=capture)
@@ -158,7 +158,7 @@ class TestStatsSink:
         assert _peak_queue(run) == max_queue_depth(run) > 1
 
     @pytest.mark.parametrize("policy", list(ROUTING_POLICIES))
-    def test_peak_queue_is_derives_on_a_fleet_run(self, policy):
+    def test_peak_queue_matches_derive_on_a_fleet_run(self, policy):
         """The peak counts the queues of every replica together."""
         fleet = FleetSpec.mixed(
             {A100_SXM4_80GB: 2, H100_NVL: 2}, batching=BATCHER
