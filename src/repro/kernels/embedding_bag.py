@@ -39,11 +39,12 @@ own row tag.
 only on how many rows it gathers, except for its addresses, so each
 warp shape is built once per launch — all five columns, with
 dependency-free ALU ops fused into the burst before them, plus the
-positions of its address operands — and each warp fills in only those
-positions.  ``tests/golden/kernels.json`` pins the lowered op streams
-by content fingerprint, and ``tests/gpusim/reference_engine.py`` keeps
-the op streams as readable generator programs that
-``tests/gpusim/test_trace_compile.py`` pins the builder to.
+positions of its address operands — and the warps sharing it fill in
+only those positions.  ``tests/golden/kernels.json`` pins the lowered
+op streams by content fingerprint, and
+``tests/gpusim/reference_engine.py`` keeps the op streams as readable
+generator programs that ``tests/gpusim/test_trace_compile.py`` pins the
+builder to.
 """
 
 from __future__ import annotations
