@@ -17,6 +17,7 @@ import pytest
 from repro.core.embedding import run_table_kernel
 from repro.core.schemes import Scheme
 from repro.datasets.generator import generate_trace
+from repro.datasets.graph import csr_trace
 from repro.datasets.spec import HOTNESS_PRESETS
 from repro.datasets.trace import EmbeddingTrace
 from repro.gpusim.engine import run_kernel
@@ -73,6 +74,20 @@ def ragged_trace() -> EmbeddingTrace:
         indices=rng.integers(0, table_rows, sum(RAGGED_BAGS)),
         offsets=np.concatenate(([0], np.cumsum(RAGGED_BAGS))),
         table_rows=table_rows,
+    )
+
+
+def graph_trace() -> EmbeddingTrace:
+    """A neighbor-gather launch over power-law vertex degrees (1 to
+    307 rows): most bags differ in size from the one before, as in the
+    graph workloads of :mod:`repro.datasets.graph`."""
+    rng = np.random.default_rng(7)
+    table_rows = 4096
+    degrees = np.minimum(rng.zipf(1.6, 48), 400)
+    return csr_trace(
+        np.concatenate(([0], np.cumsum(degrees))),
+        rng.integers(0, table_rows, degrees.sum()),
+        table_rows,
     )
 
 
@@ -150,6 +165,22 @@ class TestCompiledEquivalence:
         programs op for op."""
         args = (
             ragged_trace(),
+            scheme.compile(workload.gpu),
+            AddressMap(row_bytes=workload.row_bytes),
+        )
+        assert build_trace(*args) == compile_programs(build_programs(*args))
+
+    @pytest.mark.parametrize(
+        "scheme", RAGGED_SCHEMES,
+        ids=lambda s: f"{s.name}-d{s.resolved_distance()}",
+    )
+    def test_graph_launch_matches_lowered_generators(self, workload,
+                                                     scheme):
+        """A graph launch: nearly every warp shape is cut from the
+        longest warp's trigger groups, and each matches the generator
+        programs op for op."""
+        args = (
+            graph_trace(),
             scheme.compile(workload.gpu),
             AddressMap(row_bytes=workload.row_bytes),
         )
