@@ -49,6 +49,7 @@ builder to.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -157,9 +158,11 @@ class _WarpShape(NamedTuple):
     local_off: np.ndarray
 
 
-def _warp_shape(build: KernelBuild, spill_counts: list[int]) -> _WarpShape:
-    """The shape of one warp of ``build`` that gathers
-    ``len(spill_counts)`` rows.
+def _warp_shapes(
+    build: KernelBuild, row_counts: list[int]
+) -> list[_WarpShape]:
+    """The shape of a warp of ``build`` that gathers each of
+    ``row_counts`` rows (ascending, distinct).
 
     Per warp: the offsets load and prologue ALU; then, per trigger group
     of up to ``d`` rows, the trigger ALU, a burst of back-to-back gather
@@ -168,9 +171,14 @@ def _warp_shape(build: KernelBuild, spill_counts: list[int]) -> _WarpShape:
     epilogue ALU and the output store close the warp.  The trigger and
     epilogue ALU carry no dependency and always follow an ALU burst, so
     they are fused into it (the stock kernel's trigger adds 0 cycles).
+
+    A warp's full trigger groups are a prefix of every longer warp's,
+    so one builder appends each group once, in row order.  At each row
+    count it closes a shape with the partial group, the epilogue and
+    the store, copies it out, and rewinds to the prefix.
     """
     station = build.prefetch
-    spill_lines = spill_state(build)[1]
+    spill_pairs, spill_lines = spill_state(build)
     if station is None:  # the stock kernel: registers, one row ahead
         station, distance = "register", 1
         trigger_alu, consume_alu, row_tags = 0, cal.ACCUM_ALU, (TAG_ROW,)
@@ -181,29 +189,33 @@ def _warp_shape(build: KernelBuild, spill_counts: list[int]) -> _WarpShape:
         row_tags = tuple(TAG_PF_BASE + j for j in range(distance))
     burst_alu = cal.L1DPF_BURST_ALU if station == "l1d" else cal.ADDR_CALC_ALU
     window_base = AddressMap.local_window(0)
+    # spill round-trip slots of row k: first_spill[k] .. first_spill[k+1]
+    first_spill = list(accumulate(
+        spill_schedule(spill_pairs, row_counts[-1]), initial=0
+    ))
 
     builder = TraceBuilder()
     append = builder.append
-    index_slots: list[tuple[int, int]] = []
-    row_slots: list[tuple[int, int]] = []
-    local_slots: list[tuple[int, int]] = []
+    # (positions, args) of each kind of address operand
+    index_slots: tuple[list[int], list[int]] = ([], [])
+    row_slots: tuple[list[int], list[int]] = ([], [])
+    local_slots: tuple[list[int], list[int]] = ([], [])
+    columns = (builder.kind, builder.a, builder.b, builder.tag,
+               builder.dep, *index_slots, *row_slots, *local_slots)
 
-    def load(kind: int, slot: list, arg: int, sectors: int,
-             tag: int = -1, dep: int = -1) -> None:
+    def load(kind: int, slot: tuple[list[int], list[int]], arg: int,
+             sectors: int, tag: int = -1, dep: int = -1) -> None:
         """Append a memory op whose address a warp fills in."""
-        slot.append((len(builder.kind), arg))
+        slot[0].append(len(builder.kind))
+        slot[1].append(arg)
         append(kind, 0, sectors, tag, dep)
 
     def local(slot: int) -> int:
         """Offset of local line ``slot`` in a warp's window."""
         return AddressMap.local_line(0, slot) - window_base
 
-    n = len(spill_counts)
-    append(OP_LD_GLOBAL, 0, 1, TAG_OFF)
-    append(OP_ALU, cal.PROLOGUE_ALU, dep=TAG_OFF)
-    spill_slot = 0
-    for i in range(0, n, distance):
-        batch = min(distance, n - i)
+    def group(i: int, batch: int) -> None:
+        """Append the trigger group of rows ``i .. i + batch - 1``."""
         append(OP_ALU, trigger_alu)
         # --- prefetch burst: gather loads issued back-to-back ----------
         for j in range(batch):
@@ -236,25 +248,35 @@ def _warp_shape(build: KernelBuild, spill_counts: list[int]) -> _WarpShape:
                 append(OP_ALU, cal.ADDR_CALC_ALU, dep=TAG_IDX)
                 load(OP_LD_GLOBAL, row_slots, i + j, 4, TAG_PF_BASE)
                 append(OP_ALU, consume_alu, dep=TAG_PF_BASE)
-            for _ in range(spill_counts[i + j]):
-                line = local(spill_slot % spill_lines)
-                spill_slot += 1
+            for slot in range(first_spill[i + j], first_spill[i + j + 1]):
+                line = local(slot % spill_lines)
                 load(OP_ST_LOCAL, local_slots, line, 4)
                 load(OP_LD_LOCAL, local_slots, line, 4, TAG_SPILL)
                 append(OP_ALU, cal.SPILL_CONSUME_ALU, dep=TAG_SPILL)
-    append(OP_ALU, cal.EPILOGUE_ALU)
-    append(OP_ST_GLOBAL, 0, 4)
-    return _WarpShape(
-        builder.kind, np.array(builder.a, dtype=np.int64),
-        builder.b, builder.tag, builder.dep,
-        *_split(index_slots), *_split(row_slots), *_split(local_slots),
-    )
 
-
-def _split(slots: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """``(positions, args)`` arrays of a list of ``(position, arg)``."""
-    positions, args = np.array(slots, dtype=np.int64).reshape(-1, 2).T
-    return positions, args
+    append(OP_LD_GLOBAL, 0, 1, TAG_OFF)
+    append(OP_ALU, cal.PROLOGUE_ALU, dep=TAG_OFF)
+    shapes: list[_WarpShape] = []
+    done = 0  # rows in the prefix's full trigger groups
+    for n in row_counts:
+        while n - done >= distance:
+            group(done, distance)
+            done += distance
+        marks = [len(column) for column in columns]
+        burst = builder.a[-1]  # the closing ALU fuses into this burst
+        if n > done:
+            group(done, n - done)
+        append(OP_ALU, cal.EPILOGUE_ALU)
+        append(OP_ST_GLOBAL, 0, 4)
+        shapes.append(_WarpShape(
+            builder.kind[:], np.array(builder.a, dtype=np.int64),
+            builder.b[:], builder.tag[:], builder.dep[:],
+            *(np.array(slots, dtype=np.int64) for slots in columns[5:]),
+        ))
+        for column, mark in zip(columns, marks):
+            del column[mark:]
+        builder.a[-1] = burst
+    return shapes
 
 
 def build_trace(
@@ -263,53 +285,49 @@ def build_trace(
     """Compiled trace for one table's kernel launch under any variant.
 
     Warps run in :func:`iter_warp_work` order, and warp ``w`` owns local
-    window ``w``.  The warps of a run of samples with equal bag sizes
-    share one shape (:func:`_warp_shape`, built once per row count):
-    they extend the columns with the shape's and fill in its address
-    operands together.
+    window ``w``.  Each warp takes its shape's columns
+    (:func:`_warp_shapes`), in launch order; the warps that gather
+    equally many rows share one shape, and their address operands are
+    written into the operand-A column together, once per row count.
     """
     wps = warps_per_sample(amap.row_bytes)
     offsets = trace.offsets.astype(np.int64)
     bags = np.diff(offsets)
-    spill_counts = spill_schedule(spill_state(build)[0], int(bags.max()))
+    row_counts, bag_shape = np.unique(bags, return_inverse=True)
+    shapes = _warp_shapes(build, row_counts.tolist())
+    warp_shape = np.repeat(bag_shape, wps)
+    in_order = [shapes[i] for i in warp_shape.tolist()]
+    sizes = np.array([len(shape.kind) for shape in shapes])
+    warp_starts = np.concatenate(([0], np.cumsum(sizes[warp_shape])))
     row_addrs = amap.row_addr(0) + amap.row_bytes * trace.indices.astype(
         np.int64
     )
-    shapes: dict[int, _WarpShape] = {}
-    kind: list[int] = []
-    a: list[int] = []
-    b: list[int] = []
-    tag: list[int] = []
-    dep: list[int] = []
-    warp_starts = [0]
-    runs = np.flatnonzero(np.diff(bags, prepend=-1)).tolist()
-    for first, end in zip(runs, runs[1:] + [trace.batch_size]):
-        n = int(bags[first])
-        shape = shapes.get(n)
-        if shape is None:
-            shape = shapes[n] = _warp_shape(build, spill_counts[:n])
-        warps = np.arange(first * wps, end * wps)
+    a = np.concatenate([shape.a for shape in in_order])
+    for i, shape in enumerate(shapes):
+        warps = np.flatnonzero(warp_shape == i)
         samples = warps // wps
         col_offs = warps % wps * CACHE_LINE_BYTES
         begins = offsets[samples, None]
-        fill = np.tile(shape.a, (len(warps), 1))
-        fill[:, 0] = amap.offsets_addr(samples)
-        fill[:, shape.index_pos] = amap.index_addr(begins) + shape.index_off
-        fill[:, shape.row_pos] = (
+        first = warp_starts[warps, None]  # each warp's first op
+        a[first] = amap.offsets_addr(samples)[:, None]
+        a[first + shape.index_pos] = amap.index_addr(begins) + shape.index_off
+        a[first + shape.row_pos] = (
             row_addrs[begins + shape.row_k] + col_offs[:, None]
         )
-        fill[:, shape.local_pos] = (
+        a[first + shape.local_pos] = (
             AddressMap.local_window(warps)[:, None] + shape.local_off
         )
-        fill[:, -1] = amap.output_addr(samples, col_offs)
-        a += fill.ravel().tolist()
-        kind += shape.kind * len(warps)
-        b += shape.b * len(warps)
-        tag += shape.tag * len(warps)
-        dep += shape.dep * len(warps)
-        size = len(shape.kind)
-        warp_starts += range(warp_starts[-1] + size, len(kind) + 1, size)
-    return CompiledTrace(kind, a, b, tag, dep, warp_starts)
+        a[first + sizes[i] - 1] = amap.output_addr(samples, col_offs)[:, None]
+    kind: list[int] = []
+    b: list[int] = []
+    tag: list[int] = []
+    dep: list[int] = []
+    for shape in in_order:
+        kind += shape.kind
+        b += shape.b
+        tag += shape.tag
+        dep += shape.dep
+    return CompiledTrace(kind, a.tolist(), b, tag, dep, warp_starts.tolist())
 
 
 def expected_global_loads(trace: EmbeddingTrace, row_bytes: int) -> int:
