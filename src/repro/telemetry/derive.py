@@ -25,6 +25,7 @@ from repro.telemetry.events import (
     RunRecord,
     StreamRun,
 )
+from repro.telemetry.sinks import peak_queue_depth
 
 
 def _batch_blocks(run: StreamRun | FleetRun) -> list[BatchBlock]:
@@ -102,9 +103,10 @@ def in_flight_timeline(
 
 
 def max_queue_depth(run: StreamRun | FleetRun) -> int:
-    """Peak queued-query count over the whole run (0 for no arrivals)."""
-    _, depth = queue_depth_timeline(run)
-    return int(depth.max()) if len(depth) else 0
+    """Peak queued-query count over the whole run (0 for no arrivals):
+    the maximum of :func:`queue_depth_timeline`, which
+    :class:`~repro.telemetry.sinks.StatsSink` reports too."""
+    return peak_queue_depth([run.arrivals, *_batch_blocks(run)])
 
 
 def interference_attribution(run: GroupRun) -> dict[str, dict[str, Any]]:
@@ -165,7 +167,6 @@ def timeline_summary(runs: Iterable[RunRecord]) -> list[dict[str, Any]]:
         if isinstance(run, GroupRun):
             rows.extend(timeline_summary(run.children.values()))
             continue
-        _, depth = queue_depth_timeline(run)
         _, flight = in_flight_timeline(run)
         blocks = _batch_blocks(run)
         rows.append({
@@ -177,7 +178,7 @@ def timeline_summary(runs: Iterable[RunRecord]) -> list[dict[str, Any]]:
             "tenant": run.meta.get("tenant"),
             "n_queries": int(len(run.arrivals.times)),
             "n_batches": int(sum(len(b) for b in blocks)),
-            "max_queue_depth": int(depth.max()) if len(depth) else 0,
+            "max_queue_depth": max_queue_depth(run),
             "max_in_flight": int(flight.max()) if len(flight) else 0,
         })
     return rows

@@ -130,28 +130,32 @@ class CaptureSink(Sink):
         self.runs.append(run)
 
 
-def _max_queue_depth(blocks: list[ArrivalBlock | BatchBlock]) -> int:
-    """Peak number of queries waiting over one run's blocks, on any
-    replica: the maximum of
+def peak_queue_depth(blocks: list[ArrivalBlock | BatchBlock]) -> int:
+    """Peak number of queries waiting over one run's blocks, counting
+    every replica's queue: the maximum of
     :func:`repro.telemetry.derive.queue_depth_timeline`.
 
     The depth just before a dispatch instant ``s`` is the arrivals at
-    or before ``s`` minus the members dispatched strictly before ``s``;
-    depth only rises at arrivals, so its peak is one of these values.
+    or before ``s`` minus the members dispatched strictly before ``s``.
+    Depth only rises at arrivals, so its peak is one of these values or
+    the depth left after the last dispatch.
     """
-    arrivals = [b.times for b in blocks if isinstance(b, ArrivalBlock)]
+    times = next(
+        (b.times for b in blocks if isinstance(b, ArrivalBlock)), ()
+    )
+    arrivals = np.asarray(times, dtype=float)
     batches = [b for b in blocks if isinstance(b, BatchBlock) and len(b)]
-    if not arrivals or not batches:
-        return 0
+    if not batches:
+        return len(arrivals)
     starts = np.concatenate([np.asarray(b.starts, float) for b in batches])
     sizes = np.concatenate([np.asarray(b.sizes, np.int64) for b in batches])
     order = np.argsort(starts, kind="stable")
     starts = starts[order]
     dispatched = np.concatenate(([0], np.cumsum(sizes[order])))
     before = dispatched[np.searchsorted(starts, starts, side="left")]
-    arrived = np.searchsorted(np.asarray(arrivals[0], float), starts,
-                              side="right")
-    return int(np.max(arrived - before))
+    arrived = np.searchsorted(arrivals, starts, side="right")
+    left = len(arrivals) - dispatched[-1]
+    return int(max(np.max(arrived - before), left, 0))
 
 
 class StatsSink(Sink):
@@ -198,7 +202,7 @@ class StatsSink(Sink):
             self._count(kind)
             if self._stack:
                 current, blocks = self._stack.pop()
-                current["max_queue_depth"] = _max_queue_depth(blocks)
+                current["max_queue_depth"] = peak_queue_depth(blocks)
                 self.runs.append(current)
             return
         self._count(kind)
@@ -460,6 +464,7 @@ __all__ = [
     "resolve_sink",
     "emit_run",
     "emit_event",
+    "peak_queue_depth",
     "RunStart",
     "RunEnd",
 ]

@@ -57,6 +57,37 @@ class TestQueueDepth:
         _, depth = queue_depth_timeline(run)
         assert depth.min() >= 0
 
+    def test_max_counts_queries_left_queued(self):
+        # two arrive and leave at 0.2; the last three are never
+        # dispatched, so the peak is the depth after the last dispatch
+        run = StreamRun(
+            meta={"kind": "stream"},
+            arrivals=ArrivalBlock(
+                times=np.array([0.0, 0.1, 0.5, 0.6, 0.7]),
+                phase_ids=np.zeros(5, dtype=np.int64),
+            ),
+            batches=BatchBlock(
+                starts=np.array([0.2]), exec_s=np.array([0.1]),
+                sizes=np.array([2], dtype=np.int64),
+            ),
+        )
+        _, depth = queue_depth_timeline(run)
+        assert max_queue_depth(run) == depth.max() == 3
+
+    def test_max_without_dispatches_is_every_arrival(self):
+        run = StreamRun(
+            meta={"kind": "stream"},
+            arrivals=ArrivalBlock(
+                times=np.array([0.0, 0.1, 0.2]),
+                phase_ids=np.zeros(3, dtype=np.int64),
+            ),
+            batches=BatchBlock(
+                starts=np.empty(0), exec_s=np.empty(0),
+                sizes=np.empty(0, dtype=np.int64),
+            ),
+        )
+        assert max_queue_depth(run) == 3
+
     def test_empty_run(self):
         run = StreamRun(
             meta={"kind": "stream"},

@@ -11,7 +11,7 @@ from repro.core.curve import LatencyCurve
 from repro.core.serving import BatchingPolicy, serve_stream
 from repro.fleet import ROUTING_POLICIES, FleetSpec
 from repro.fleet.router import simulate_fleet_stream
-from repro.telemetry.derive import max_queue_depth
+from repro.telemetry.derive import max_queue_depth, queue_depth_timeline
 from repro.telemetry.events import (
     SCHEMA_VERSION,
     ArrivalBlock,
@@ -80,6 +80,12 @@ def _peak_queue(run):
     stats.emit_run(run)
     (summary,) = stats.summary()["runs"]
     return summary["max_queue_depth"]
+
+
+def _timeline_peak(run):
+    """The peak of the queue-depth step timeline, event by event."""
+    _, depth = queue_depth_timeline(run)
+    return int(depth.max())
 
 
 class TestDefaultSink:
@@ -156,6 +162,7 @@ class TestStatsSink:
                      sink=capture)
         (run,) = capture.runs
         assert _peak_queue(run) == max_queue_depth(run) > 1
+        assert max_queue_depth(run) == _timeline_peak(run)
 
     @pytest.mark.parametrize("policy", list(ROUTING_POLICIES))
     def test_peak_queue_matches_derive_on_a_fleet_run(self, policy):
@@ -168,6 +175,7 @@ class TestStatsSink:
                               sink=capture)
         (run,) = capture.runs
         assert _peak_queue(run) == max_queue_depth(run) > 1
+        assert max_queue_depth(run) == _timeline_peak(run)
 
     def test_cache_totals(self):
         stats = StatsSink()
