@@ -5,11 +5,16 @@ import pytest
 from repro.config.scale import SimScale
 from repro.core.distributed import (
     allgather_us,
-    lpt_shard,
     run_distributed_stage,
 )
 from repro.core.embedding import kernel_workload
 from repro.core.schemes import BASE, RPF_L2P_OPTMT
+from repro.fleet.placement import hetero_lpt_shard
+
+
+def on_identical_gpus(table_times, mix, n_gpus):
+    """The placer on ``n_gpus`` identical GPUs."""
+    return hetero_lpt_shard({"g": table_times}, mix, ["g"] * n_gpus)
 
 
 @pytest.fixture(scope="module")
@@ -22,22 +27,22 @@ def wl():
 
 class TestLptSharding:
     def test_balances_homogeneous_tables(self):
-        placement = lpt_shard({"a": 10.0}, {"a": 8}, n_gpus=4)
+        placement = on_identical_gpus({"a": 10.0}, {"a": 8}, n_gpus=4)
         assert [len(p) for p in placement] == [2, 2, 2, 2]
 
     def test_heavy_tables_spread_first(self):
         times = {"hot": 1.0, "cold": 10.0}
-        placement = lpt_shard(times, {"hot": 2, "cold": 2}, n_gpus=2)
+        placement = on_identical_gpus(times, {"hot": 2, "cold": 2}, n_gpus=2)
         for shard in placement:
             assert "cold" in shard  # one heavy table per GPU
 
     def test_single_gpu_gets_everything(self):
-        placement = lpt_shard({"a": 1.0}, {"a": 5}, n_gpus=1)
+        placement = on_identical_gpus({"a": 1.0}, {"a": 5}, n_gpus=1)
         assert len(placement[0]) == 5
 
     def test_invalid_gpu_count(self):
         with pytest.raises(ValueError):
-            lpt_shard({"a": 1.0}, {"a": 1}, n_gpus=0)
+            on_identical_gpus({"a": 1.0}, {"a": 1}, n_gpus=0)
 
 
 class TestAllGather:
@@ -52,7 +57,7 @@ class TestAllGather:
 
 class TestLptEdgeCases:
     def test_more_gpus_than_tables(self):
-        placement = lpt_shard({"a": 3.0}, {"a": 2}, n_gpus=5)
+        placement = on_identical_gpus({"a": 3.0}, {"a": 2}, n_gpus=5)
         assert sum(len(p) for p in placement) == 2
         assert sum(1 for p in placement if not p) == 3
         # the placed tables land on distinct GPUs
@@ -72,7 +77,9 @@ class TestLptEdgeCases:
         """One giant table dominates: imbalance reflects it but LPT
         still spreads everything else away from that GPU."""
         times = {"giant": 100.0, "tiny": 1.0}
-        placement = lpt_shard(times, {"giant": 1, "tiny": 8}, n_gpus=2)
+        placement = on_identical_gpus(
+            times, {"giant": 1, "tiny": 8}, n_gpus=2
+        )
         giant_gpu = next(
             i for i, p in enumerate(placement) if "giant" in p
         )

@@ -4,7 +4,8 @@ Randomized (hypothesis) checks of the structural guarantees the fleet
 layer must never lose, whatever the workload:
 
 * placement — every table instance in the mix lands on exactly one
-  GPU, no instance is dropped or duplicated;
+  GPU, no instance is dropped or duplicated; on identical GPUs the
+  placer is classic heap LPT, shard for shard;
 * routing — conservation: every request that enters the router is
   served exactly once (after the final drain nothing is left in
   flight), whatever the routing policy and the replicas' batcher;
@@ -18,6 +19,8 @@ layer must never lose, whatever the workload:
 ``derandomize=True`` keeps CI deterministic (hypothesis still explores
 the space, from a fixed seed).
 """
+
+import heapq
 
 import numpy as np
 import pytest
@@ -70,6 +73,37 @@ def test_every_table_placed_exactly_once(mix, gpus, data):
         for table in shard:
             placed[table] = placed.get(table, 0) + 1
     assert placed == dict(mix)
+
+
+def _heap_lpt(table_times, mix, n_gpus):
+    """Classic LPT on identical machines: longest first, each to the
+    least-loaded GPU (lowest index on equal loads)."""
+    tables = [name for name, count in mix.items() for _ in range(count)]
+    tables.sort(key=lambda name: table_times[name], reverse=True)
+    heap = [(0.0, gpu) for gpu in range(n_gpus)]
+    placement: list[list[str]] = [[] for _ in range(n_gpus)]
+    for name in tables:
+        load, gpu = heapq.heappop(heap)
+        placement[gpu].append(name)
+        heapq.heappush(heap, (load + table_times[name], gpu))
+    return placement
+
+
+@given(
+    mix=st.dictionaries(_table_names, st.integers(1, 40), min_size=1),
+    n_gpus=st.integers(1, 9),
+    data=st.data(),
+)
+@settings(**SETTINGS)
+def test_identical_gpus_place_like_heap_lpt(mix, n_gpus, data):
+    # integer-valued times keep every load sum exact, so the placer's
+    # min(load + t) and the heap's min(load) cannot split on rounding
+    table_times = {
+        name: float(data.draw(st.integers(0, 5000), label=f"time[{name}]"))
+        for name in mix
+    }
+    placement = hetero_lpt_shard({"g": table_times}, mix, ["g"] * n_gpus)
+    assert placement == _heap_lpt(table_times, mix, n_gpus)
 
 
 # ----------------------------------------------------------------------
