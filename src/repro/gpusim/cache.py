@@ -46,10 +46,6 @@ class SectoredCache:
         self.pin_hit_sectors = 0
         self.pin_capacity_lines = pin_capacity_bytes // CACHE_LINE_BYTES
 
-    @property
-    def capacity_lines(self) -> int:
-        return self.num_sets * self.assoc
-
     def access(self, line: int, sectors: int) -> bool:
         """Probe for ``line``; returns True on hit.  On miss the line is
         allocated MRU (fill timing is tracked by the hierarchy's MSHRs)."""

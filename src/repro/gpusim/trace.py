@@ -151,11 +151,6 @@ class TraceBuilder:
         """Close the current warp (empty warps are legal)."""
         self.warp_starts.append(len(self.kind))
 
-    @property
-    def open_warp_ops(self) -> int:
-        """Ops appended to the warp currently being built."""
-        return len(self.kind) - self.warp_starts[-1]
-
     def build(self) -> CompiledTrace:
         if self.warp_starts[-1] != len(self.kind):
             raise ValueError("unterminated warp: call end_warp() first")
