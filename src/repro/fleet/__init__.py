@@ -3,8 +3,9 @@
 Composes the single-GPU pieces (kernel simulator, batching, serving)
 into a discrete-event cluster simulator: a :class:`FleetSpec` of mixed
 A100/H100 replicas, a router with pluggable load-balancing policies,
-fleet-level table placement over unequal GPUs, and capacity planning
-(max QPS at SLA, replicas-needed, autoscaler sweeps).
+table placement (model-parallel sharding, unequal and tiered GPUs),
+and capacity planning (max QPS at SLA, replicas-needed, autoscaler
+sweeps).
 """
 
 from repro.fleet.capacity import (
@@ -17,6 +18,7 @@ from repro.fleet.capacity import (
     tiered_latency_model,
 )
 from repro.fleet.placement import (
+    DistributedStageResult,
     HeteroPlacement,
     HeteroShard,
     TieredPlacement,
@@ -28,6 +30,7 @@ from repro.fleet.placement import (
     place_tables,
     place_tables_tiered,
     place_zoo,
+    run_distributed_stage,
 )
 from repro.fleet.report import (
     FleetReport,
@@ -57,6 +60,7 @@ from repro.fleet.topology import (
 __all__ = [
     "GPU_COST_UNITS",
     "ROUTING_POLICIES",
+    "DistributedStageResult",
     "FleetReport",
     "FleetSpec",
     "HeteroPlacement",
@@ -85,6 +89,7 @@ __all__ = [
     "place_zoo",
     "replicas_needed",
     "resolve_policy",
+    "run_distributed_stage",
     "simulate_fleet",
     "simulate_fleet_stream",
     "simulate_fleet_tenant_streams",

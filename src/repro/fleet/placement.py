@@ -1,14 +1,21 @@
-"""Embedding-table placement across *unequal* GPUs.
+"""Embedding-table placement across GPUs (paper Sections II-A, VII).
 
-:func:`repro.core.distributed.lpt_shard` balances tables over identical
-GPUs by measured kernel time.  A heterogeneous fleet breaks its core
-assumption: the same table costs a different time on an A100 than on an
-H100, so balance must be sought in *per-GPU completion time*, not table
-count or single-GPU cost.  This module generalizes LPT to the unrelated-
-machines setting (greedy minimum-completion-time, the classic 2-approx
-heuristic production placers use): each table instance — longest first
-by its average cost — goes to the GPU that would finish it earliest
-given that GPU's own measured per-table kernel times.
+Large DLRMs shard their embedding tables across GPUs; each GPU runs its
+tables serially (the regime the paper's per-table optimizations target)
+and the per-sample vectors are gathered over NVLink before interaction.
+The paper argues its schemes apply unchanged per table.  This module is
+the one table placer: greedy minimum-completion-time (the classic
+2-approx heuristic production placers use) on *measured* per-table
+kernel times, which production systems approximate with cost models.
+Each table instance, longest first by its average cost, goes to the GPU
+that would finish it earliest given that GPU's own measured times.  On
+identical GPUs this is LPT (longest-processing-time-first); on unequal
+ones the same table costs a different time on an A100 than on an H100,
+so balance is sought in per-GPU completion time, not table count.
+
+:func:`run_distributed_stage` is model-parallel sharding of one stage
+over identical GPUs: it places the mix with any scheme per table and
+adds the NVLink all-gather of the pooled outputs before interaction.
 
 With the memstore tier (:func:`place_tables_tiered`), "does it fit?"
 stops being a constraint and becomes a cost: each assigned table splits
@@ -21,7 +28,9 @@ aggregate HBM place instead of failing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Mapping, Sequence
 
 from repro.config.gpu import GpuSpec
@@ -40,6 +49,9 @@ from repro.memstore.store import HostLink, store_for_spec
 
 #: gpu name -> table (dataset) name -> measured kernel time in us.
 TableTimes = Mapping[str, Mapping[str, float]]
+
+#: NVLink all-gather effective bandwidth per GPU (A100 NVLink3).
+NVLINK_GBPS = 300.0
 
 
 @dataclass(frozen=True)
@@ -79,27 +91,57 @@ class HeteroPlacement:
         )
 
 
+def _check_placement(
+    mix: Mapping[str, int],
+    gpu_names: Sequence[str],
+    table_times: TableTimes | None = None,
+) -> None:
+    """Reject a placement's inputs before any kernel is simulated.
+
+    Every count is an integer >= 0 and at least one is above 0, there
+    is at least one GPU, and every time the placer would read is a
+    finite number >= 0: a negative count would be dropped silently, and
+    a NaN or negative time draws every table onto its GPU.
+    """
+    if not gpu_names:
+        raise ValueError("need at least one GPU")
+    for name, count in mix.items():
+        if not isinstance(count, Integral) or count < 0:
+            raise ValueError(
+                f"table {name!r}: count must be an integer >= 0, "
+                f"got {count!r}"
+            )
+    if not any(mix.values()):
+        raise ValueError("table mix is empty")
+    if table_times is None:
+        return
+    for gpu in sorted(set(gpu_names)):
+        times = table_times.get(gpu, {})
+        missing = set(mix) - set(times)
+        if missing:
+            raise KeyError(
+                f"no measured times on {gpu!r} for tables {sorted(missing)}"
+            )
+        for name in mix:
+            if not 0 <= times[name] < math.inf:
+                raise ValueError(
+                    f"table {name!r} on GPU {gpu!r}: time must be a "
+                    f"finite number >= 0, got {times[name]!r}"
+                )
+
+
 def hetero_lpt_shard(
     table_times: TableTimes,
     mix: Mapping[str, int],
     gpu_names: Sequence[str],
 ) -> list[list[str]]:
-    """Greedy min-completion-time placement onto unequal GPUs.
+    """Greedy min-completion-time placement onto (possibly unequal) GPUs.
 
     ``gpu_names`` lists one entry per GPU *instance* (repeats allowed);
     shard ``i`` of the result belongs to ``gpu_names[i]``.  With
     identical GPUs this degenerates to classic LPT.
     """
-    if not gpu_names:
-        raise ValueError("need at least one GPU")
-    if not mix:
-        raise ValueError("table mix is empty")
-    for gpu in set(gpu_names):
-        missing = set(mix) - set(table_times.get(gpu, {}))
-        if missing:
-            raise KeyError(
-                f"no measured times on {gpu!r} for tables {sorted(missing)}"
-            )
+    _check_placement(mix, gpu_names, table_times)
     instances = [name for name, count in mix.items() for _ in range(count)]
     # longest-first by average cost across the GPU types present
     instances.sort(
@@ -119,6 +161,21 @@ def hetero_lpt_shard(
     return placement
 
 
+def _table_times(
+    workload: KernelWorkload,
+    mix: Mapping[str, int],
+    scheme: Scheme,
+    seed: int,
+) -> dict[str, float]:
+    """Measured kernel time (+ launch), in us, of every table in the mix."""
+    return {
+        name: run_table_kernel(
+            workload, HOTNESS_PRESETS[name], scheme, seed=seed
+        ).profile.kernel_time_us + KERNEL_LAUNCH_US
+        for name in mix
+    }
+
+
 def measure_table_times(
     mix: Mapping[str, int],
     scheme: Scheme,
@@ -132,15 +189,10 @@ def measure_table_times(
     times: dict[str, dict[str, float]] = {}
     scale = SimScale(name=f"placement{num_sms}", num_sms=num_sms)
     for gpu in gpus:
-        if gpu.name in times:
-            continue
-        workload = kernel_workload(gpu, model, scale)
-        times[gpu.name] = {
-            name: run_table_kernel(
-                workload, HOTNESS_PRESETS[name], scheme, seed=seed
-            ).profile.kernel_time_us + KERNEL_LAUNCH_US
-            for name in mix
-        }
+        if gpu.name not in times:
+            times[gpu.name] = _table_times(
+                kernel_workload(gpu, model, scale), mix, scheme, seed
+            )
     return times
 
 
@@ -158,11 +210,12 @@ def place_tables(
 
     Pass ``table_times`` to reuse measurements across sweeps.
     """
+    gpu_names = [gpu.name for gpu in gpus]
+    _check_placement(mix, gpu_names, table_times)
     if table_times is None:
         table_times = measure_table_times(
             mix, scheme, gpus, model=model, num_sms=num_sms, seed=seed
         )
-    gpu_names = [gpu.name for gpu in gpus]
     placement = hetero_lpt_shard(table_times, mix, gpu_names)
     return HeteroPlacement(
         shards=tuple(
@@ -175,6 +228,66 @@ def place_tables(
             )
             for i, tables in enumerate(placement)
         )
+    )
+
+
+# ----------------------------------------------------------------------
+# model-parallel sharding: one stage over identical GPUs
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class DistributedStageResult(HeteroPlacement):
+    """A sharded embedding stage: the shards run in parallel, then the
+    pooled outputs are all-gathered over NVLink."""
+
+    scheme: Scheme
+    allgather_us: float
+
+    @property
+    def critical_path_us(self) -> float:
+        """The slowest shard plus the gather."""
+        return super().critical_path_us + self.allgather_us
+
+    def speedup_over(self, other: "DistributedStageResult") -> float:
+        return other.critical_path_us / self.critical_path_us
+
+
+def allgather_us(
+    workload: KernelWorkload, total_tables: int, n_gpus: int
+) -> float:
+    """All-gather of per-table pooled outputs before interaction.
+
+    Every sample contributes one ``row_bytes`` vector per remote table;
+    each GPU must receive the vectors of all tables it does not own.
+    """
+    if n_gpus == 1:
+        return 0.0
+    batch = workload.batch_size / workload.factor  # full-chip batch
+    remote_tables = total_tables * (n_gpus - 1) / n_gpus
+    bytes_in = batch * remote_tables * workload.row_bytes
+    return 1e6 * bytes_in / (NVLINK_GBPS * 1e9)
+
+
+def run_distributed_stage(
+    workload: KernelWorkload,
+    mix: Mapping[str, int],
+    scheme: Scheme,
+    *,
+    n_gpus: int = 4,
+    seed: int = 0,
+) -> DistributedStageResult:
+    """Shard the embedding stage over ``n_gpus`` identical GPUs."""
+    gpus = [workload.gpu] * n_gpus
+    _check_placement(mix, [gpu.name for gpu in gpus])
+    placement = place_tables(
+        mix, scheme, gpus,
+        table_times={
+            workload.gpu.name: _table_times(workload, mix, scheme, seed)
+        },
+    )
+    return DistributedStageResult(
+        shards=placement.shards,
+        scheme=scheme,
+        allgather_us=allgather_us(workload, sum(mix.values()), n_gpus),
     )
 
 
@@ -401,10 +514,8 @@ def place_tables_tiered(
     """
     if not 0.0 < hbm_utilization <= 1.0:
         raise ValueError("hbm_utilization must be in (0, 1]")
-    if not gpus:
-        raise ValueError("need at least one GPU")
-    if not any(count > 0 for count in mix.values()):
-        raise ValueError("table mix is empty")
+    gpu_names = [gpu.name for gpu in gpus]
+    _check_placement(mix, gpu_names, table_times)
     if table_times is None:
         table_times = measure_table_times(
             mix, scheme, gpus, model=model, num_sms=num_sms, seed=seed
@@ -421,7 +532,6 @@ def place_tables_tiered(
     budgets = [gpu.hbm_bytes * hbm_utilization for gpu in gpus]
     f0 = min(1.0, sum(budgets) / total_bytes)
 
-    gpu_names = [gpu.name for gpu in gpus]
     effective = {
         name: {
             dataset: table_times[name][dataset]

@@ -47,12 +47,6 @@ from repro.telemetry.sinks import Sink, resolve_sink
 
 #: Host-link launch latency (DMA setup + round trip) per bulk transfer.
 PCIE_LATENCY_US = 10.0
-NVLINK_LATENCY_US = 2.0
-
-#: NVLink3 effective bandwidth per GPU (mirrors
-#: ``repro.core.distributed.NVLINK_GBPS``; duplicated to keep memstore
-#: importable from ``core`` without a cycle).
-NVLINK_GBPS = 300.0
 
 
 @dataclass(frozen=True)
@@ -88,11 +82,6 @@ class HostLink:
     def pcie(cls, gpu: GpuSpec) -> "HostLink":
         """The GPU's PCIe link to host DRAM."""
         return cls("pcie", gpu.pcie_gbps, PCIE_LATENCY_US)
-
-    @classmethod
-    def nvlink_c2c(cls) -> "HostLink":
-        """A coherent NVLink path to host memory (Grace-Hopper style)."""
-        return cls("nvlink-c2c", NVLINK_GBPS, NVLINK_LATENCY_US)
 
 
 @dataclass(frozen=True)

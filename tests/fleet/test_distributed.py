@@ -3,13 +3,13 @@
 import pytest
 
 from repro.config.scale import SimScale
-from repro.core.distributed import (
-    allgather_us,
-    run_distributed_stage,
-)
 from repro.core.embedding import kernel_workload
 from repro.core.schemes import BASE, RPF_L2P_OPTMT
-from repro.fleet.placement import hetero_lpt_shard
+from repro.fleet.placement import (
+    allgather_us,
+    hetero_lpt_shard,
+    run_distributed_stage,
+)
 
 
 def on_identical_gpus(table_times, mix, n_gpus):

@@ -1,14 +1,21 @@
 """Heterogeneous table placement (unrelated-machines LPT)."""
 
+import math
+
 import pytest
 
 from repro.config.gpu import A100_SXM4_80GB, H100_NVL
+from repro.config.scale import SimScale
+from repro.core.embedding import kernel_workload
 from repro.core.schemes import BASE
+from repro.fleet import placement as placement_module
 from repro.fleet.placement import (
     HeteroPlacement,
     HeteroShard,
     hetero_lpt_shard,
     place_tables,
+    place_tables_tiered,
+    run_distributed_stage,
 )
 
 #: Synthetic measured times: the "fast" GPU is 2x quicker on everything.
@@ -110,3 +117,61 @@ class TestPlaceTables:
         assert placement.tables_on(H100_NVL.name) \
             >= placement.tables_on(A100_SXM4_80GB.name)
         assert placement.imbalance < 2.0
+
+
+class TestPlacerInputChecked:
+    """Bad counts, times and GPU lists fail before anything is placed
+    or simulated, naming the table (and the GPU)."""
+
+    @pytest.mark.parametrize("mix, match", [
+        ({"hot": -2, "cold": 3}, "table 'hot': count must be an integer"),
+        ({"hot": 2.5}, "table 'hot': count must be an integer"),
+        ({"hot": 0, "cold": 0}, "table mix is empty"),
+    ])
+    def test_bad_counts_rejected(self, mix, match):
+        with pytest.raises(ValueError, match=match):
+            hetero_lpt_shard(TIMES, mix, ["fast", "fast"])
+        with pytest.raises(ValueError, match=match):
+            place_tables(mix, BASE, [A100_SXM4_80GB], table_times={
+                A100_SXM4_80GB.name: TIMES["fast"],
+            })
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, math.inf])
+    def test_bad_times_rejected(self, bad):
+        times = {"fast": {"hot": bad, "cold": 25.0}, "slow": TIMES["slow"]}
+        with pytest.raises(ValueError, match="table 'hot' on GPU 'fast'"):
+            hetero_lpt_shard(times, {"hot": 4, "cold": 2}, ["fast", "slow"])
+
+    @pytest.mark.parametrize("call", [
+        lambda wl: place_tables(
+            {"high_hot": -3, "random": 2}, BASE, [A100_SXM4_80GB]
+        ),
+        lambda wl: place_tables({"random": 2.5}, BASE, [A100_SXM4_80GB]),
+        lambda wl: place_tables({"random": 2}, BASE, []),
+        lambda wl: place_tables_tiered(
+            {"random": 0}, BASE, [A100_SXM4_80GB]
+        ),
+        lambda wl: place_tables_tiered(
+            {"high_hot": -1, "random": 2}, BASE, [A100_SXM4_80GB]
+        ),
+        lambda wl: run_distributed_stage(wl, {"random": 2}, BASE, n_gpus=0),
+        lambda wl: run_distributed_stage(
+            wl, {"random": 2, "high_hot": -1}, BASE, n_gpus=2
+        ),
+    ], ids=[
+        "place-negative", "place-fractional", "place-no-gpu",
+        "tiered-empty", "tiered-negative", "stage-no-gpu",
+        "stage-negative",
+    ])
+    def test_entry_points_check_before_simulating(self, monkeypatch, call):
+        calls = []
+
+        def kernel(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("a kernel was simulated")
+
+        monkeypatch.setattr(placement_module, "run_table_kernel", kernel)
+        wl = kernel_workload(scale=SimScale("check", 2), batch_size=16)
+        with pytest.raises(ValueError):
+            call(wl)
+        assert calls == []
