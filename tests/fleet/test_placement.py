@@ -149,9 +149,6 @@ class TestPlacerInputChecked:
         lambda wl: place_tables({"random": 2.5}, BASE, [A100_SXM4_80GB]),
         lambda wl: place_tables({"random": 2}, BASE, []),
         lambda wl: place_tables_tiered(
-            {"random": 0}, BASE, [A100_SXM4_80GB]
-        ),
-        lambda wl: place_tables_tiered(
             {"high_hot": -1, "random": 2}, BASE, [A100_SXM4_80GB]
         ),
         lambda wl: run_distributed_stage(wl, {"random": 2}, BASE, n_gpus=0),
@@ -160,8 +157,7 @@ class TestPlacerInputChecked:
         ),
     ], ids=[
         "place-negative", "place-fractional", "place-no-gpu",
-        "tiered-empty", "tiered-negative", "stage-no-gpu",
-        "stage-negative",
+        "tiered-negative", "stage-no-gpu", "stage-negative",
     ])
     def test_entry_points_check_before_simulating(self, monkeypatch, call):
         calls = []
