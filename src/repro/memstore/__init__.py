@@ -3,7 +3,7 @@
 The scale axis of the reproduction: serve models *bigger than the
 hardware* by keeping a per-GPU hot subset of embedding rows
 HBM-resident and fetching the remainder from host DRAM over a modeled
-PCIe/NVLink link.  One policy module (popularity profiling + pluggable
+PCIe link.  One policy module (popularity profiling + pluggable
 admission/eviction) feeds every layer: L2 pinning's hot-row profiling,
 drift re-pinning, kernel-stage miss latency, fleet placement splits,
 and per-phase hit-rate reporting in the serving engines.
